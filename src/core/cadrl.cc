@@ -16,7 +16,9 @@
 #include "util/failpoint.h"
 #include "util/io.h"
 #include "util/logging.h"
+#include "util/stamped_table.h"
 #include "util/thread_pool.h"
+#include "util/thread_scratch.h"
 
 namespace cadrl {
 namespace core {
@@ -1115,24 +1117,104 @@ Status CadrlRecommender::FindPaths(kg::EntityId user, int max_paths,
   }
   std::vector<eval::Recommendation> recs;
   CADRL_RETURN_IF_ERROR(RecommendWithContext(user, max_paths, &ctx, &recs));
+  out->reserve(recs.size());
   for (eval::Recommendation& rec : recs) {
     if (!rec.path.empty()) out->push_back(std::move(rec.path));
   }
   return Status::OK();
 }
 
+namespace {
+
+// One beam element as the search records it. Every survivor of every hop
+// is appended to one flat history array and points at its parent, so an
+// explanation path is a walk up parent links, built only for the answers
+// actually returned.
+struct BeamNode {
+  int32_t parent;  // history index of the parent; -1 for the root
+  kg::EntityId entity;
+  kg::Relation last_rel;  // the move onto `entity`; kSelfLoop adds no step
+  kg::CategoryId category;
+  double log_prob;
+};
+
+// One expansion of the current hop: its parent's slot in the current beam
+// and the move it takes. Siblings share the parent's next category.
+struct BeamChild {
+  double log_prob;
+  kg::EntityId entity;
+  kg::Relation relation;
+  kg::CategoryId category;  // kInvalidCategory when no category is active
+  int32_t parent;
+};
+
+// The best-scoring way found so far to reach one candidate item: the edge
+// (relation, item) out of history node `node`.
+struct BeamCandidate {
+  double score;
+  int32_t node;
+  kg::Relation relation;
+};
+
+// Everything one beam search writes besides its answer. Owned by the
+// driver; the compiled driver is per-thread scratch, so these buffers keep
+// their capacity across requests and a warmed search allocates nothing
+// until it builds the returned paths.
+template <typename State>
+struct BeamScratch {
+  std::vector<BeamNode> history;
+  // Recurrent states of the current and the next beam, by slot. Never
+  // shrunk, so the states' own buffers survive from request to request.
+  std::vector<State> states, next_states;
+  std::vector<BeamChild> children;
+  CategorySet milestones;
+  std::vector<std::pair<float, kg::CategoryId>> category_scored;
+  std::vector<kg::CategoryId> category_actions;
+  ActionScratch action_scratch;
+  std::vector<EntityAction> entity_actions;
+  std::vector<float> log_probs, guidance, item_scores;
+  std::vector<kg::EntityId> dsts, item_ids;
+  std::vector<kg::Relation> item_relations;
+  std::vector<std::pair<float, int64_t>> ranked;
+  util::StampedTable<BeamCandidate> candidates;  // by item entity id
+  std::vector<std::pair<double, kg::EntityId>> ranking;
+};
+
+// Builds a candidate's explanation path: the non-self-loop moves from the
+// root down to its node, then the edge onto the item. The step vector is
+// sized once, so a path costs one allocation.
+void BuildPath(const std::vector<BeamNode>& history, kg::EntityId user,
+               kg::EntityId item, const BeamCandidate& cand,
+               eval::RecommendationPath* path) {
+  size_t n = 1;
+  for (int32_t i = cand.node; i >= 0; i = history[i].parent) {
+    if (history[i].last_rel != kg::Relation::kSelfLoop) ++n;
+  }
+  path->user = user;
+  path->steps.resize(n);
+  path->steps[--n] = {cand.relation, item};
+  for (int32_t i = cand.node; i >= 0; i = history[i].parent) {
+    if (history[i].last_rel != kg::Relation::kSelfLoop) {
+      path->steps[--n] = {history[i].last_rel, history[i].entity};
+    }
+  }
+}
+
+}  // namespace
+
 // Tape-path policy forwards for the beam search: the legacy autograd
 // composition over fresh constant-leaf tensors, wrapped behind the driver
 // interface BeamSearch expects. Kept as the golden reference the compiled
-// driver is byte-compared against.
+// driver is byte-compared against, so it advances every survivor with one
+// full Advance and keeps its scratch per call.
 struct CadrlRecommender::TapeBeamDriver {
   using State = SharedPolicyNetworks::RolloutState;
 
   explicit TapeBeamDriver(const CadrlRecommender& r) : rec(r) {}
 
-  State InitialState(kg::EntityId user, kg::CategoryId category) {
+  void InitialState(kg::EntityId user, kg::CategoryId category, State* out) {
     user_t = rec.store_->EntityTensor(user);
-    return rec.policy_->InitialState(
+    *out = rec.policy_->InitialState(
         user_t,
         category != kg::kInvalidCategory ? rec.store_->CategoryTensor(category)
                                          : rec.store_->ZeroTensor(),
@@ -1166,81 +1248,92 @@ struct CadrlRecommender::TapeBeamDriver {
     out->assign(log_probs.data(), log_probs.data() + log_probs.numel());
   }
 
-  void Advance(State* state, kg::EntityId user, kg::CategoryId category,
-               kg::Relation last_rel, kg::EntityId entity) {
-    (void)user;  // the user tensor is cached from InitialState
-    rec.policy_->Advance(
-        state, user_t,
-        category != kg::kInvalidCategory ? rec.store_->CategoryTensor(category)
-                                         : rec.store_->ZeroTensor(),
-        rec.store_->RelationTensor(last_rel), rec.store_->EntityTensor(entity));
+  // next[i] = parents[moves[i].parent] advanced by moves[i].
+  void Advance(std::span<const State> parents,
+               std::span<const BeamChild> moves, std::vector<State>* next) {
+    for (size_t i = 0; i < moves.size(); ++i) {
+      const BeamChild& m = moves[i];
+      State& child = (*next)[i];
+      child = parents[static_cast<size_t>(m.parent)];
+      rec.policy_->Advance(
+          &child, user_t,
+          m.category != kg::kInvalidCategory
+              ? rec.store_->CategoryTensor(m.category)
+              : rec.store_->ZeroTensor(),
+          rec.store_->RelationTensor(m.relation),
+          rec.store_->EntityTensor(m.entity));
+    }
   }
 
   const CadrlRecommender& rec;
   ag::Tensor user_t;
+  BeamScratch<State> beam;
 };
 
 // Compiled-path policy forwards: the same four steps over a frozen
 // CompiledModel snapshot through infer/policy_forward, allocating no tensor
-// graph nodes. Steady state reuses the scratch buffers below, so a warmed
-// driver performs zero heap allocation per forward.
+// graph nodes. One driver per thread is reused across requests (Bind
+// points it at the request's snapshot), so its buffers and the beam
+// scratch it owns are sized once and a warmed search never allocates.
 //
 // The snapshot's tables may be quantized (f16/int8): every policy-forward
 // operand goes through RowSpan, which is zero-copy for f32 and dequantizes
 // into a per-operand slot otherwise. Slots are per *operand position* —
 // user/entity/relation/category — because one forward holds up to four row
-// pointers live at once (e.g. AdvanceRaw reads the user and entity rows
-// together). Dequantization is a pure per-row function of the stored
-// bytes, so the policy forwards stay byte-identical across thread counts
-// and batch compositions for a fixed snapshot.
+// pointers live at once (e.g. AdvanceChildRaw reads the user, relation and
+// entity rows together). Dequantization is a pure per-row function of the
+// stored bytes, so the policy forwards stay byte-identical across thread
+// counts and batch compositions for a fixed snapshot.
 struct CadrlRecommender::CompiledBeamDriver {
   using State = infer::RawPolicyState;
 
-  explicit CompiledBeamDriver(const infer::CompiledModel& m)
-      : sv(m.scoring()),
-        pv(m.policy()),
-        zeros(static_cast<size_t>(sv.dim), 0.0f),
-        batcher(infer::CurrentStepBatcher()) {}
+  // Points the driver at `m` and at the micro-batcher the serving worker
+  // installed on this thread (null for direct dispatch). Called once per
+  // request: one request never switches mode mid-search.
+  void Bind(const infer::CompiledModel& m) {
+    sv = &m.scoring();
+    pv = &m.policy();
+    zeros.assign(static_cast<size_t>(sv->dim), 0.0f);
+    batcher = infer::CurrentStepBatcher();
+  }
 
   // The requesting user's entity row (user_ is fixed per search).
   std::span<const float> User() {
-    return infer::RowSpan(sv.entities, sv.precision, sv.dim,
+    return infer::RowSpan(sv->entities, sv->precision, sv->dim,
                           static_cast<int64_t>(user_), &user_slot);
   }
   std::span<const float> Ent(kg::EntityId e) {
-    return infer::RowSpan(sv.entities, sv.precision, sv.dim,
+    return infer::RowSpan(sv->entities, sv->precision, sv->dim,
                           static_cast<int64_t>(e), &ent_slot);
   }
   std::span<const float> Rel(kg::Relation r) {
-    return infer::RowSpan(sv.relations, sv.precision, sv.dim,
+    return infer::RowSpan(sv->relations, sv->precision, sv->dim,
                           static_cast<int64_t>(r), &rel_slot);
   }
   std::span<const float> Cat(kg::CategoryId c) {
-    return infer::RowSpan(sv.categories, sv.precision, sv.dim,
+    return infer::RowSpan(sv->categories, sv->precision, sv->dim,
                           static_cast<int64_t>(c), &cat_slot);
   }
-  std::span<const float> Zero() const {
+  std::span<const float> CatOrZero(kg::CategoryId c) {
+    if (c != kg::kInvalidCategory) return Cat(c);
     return {zeros.data(), zeros.size()};
   }
 
-  State InitialState(kg::EntityId user, kg::CategoryId category) {
+  void InitialState(kg::EntityId user, kg::CategoryId category, State* out) {
     user_ = user;
-    State state;
-    infer::InitialStateRaw(
-        pv, User(),
-        category != kg::kInvalidCategory ? Cat(category) : Zero(),
-        Rel(kg::Relation::kSelfLoop), Ent(user), &scratch, &state);
-    return state;
+    infer::InitialStateRaw(*pv, User(), CatOrZero(category),
+                           Rel(kg::Relation::kSelfLoop), Ent(user), &scratch,
+                           out);
   }
 
   kg::CategoryId PickCategory(const State& state, kg::CategoryId current,
                               const std::vector<kg::CategoryId>& actions) {
-    const int d = sv.dim;
+    const int d = sv->dim;
     const int n = static_cast<int>(actions.size());
     action_rows.resize(static_cast<size_t>(n) * d);
     for (int i = 0; i < n; ++i) {
       infer::MaterializeRow(
-          sv.categories, sv.precision, d,
+          sv->categories, sv->precision, d,
           static_cast<int64_t>(actions[static_cast<size_t>(i)]),
           action_rows.data() + static_cast<size_t>(i) * d);
     }
@@ -1250,18 +1343,18 @@ struct CadrlRecommender::CompiledBeamDriver {
       // feature row and action rows stay owned by this driver while the
       // step is parked, and ExecuteHead returns with `logits` holding the
       // same bytes CategoryLogitsRaw would have written.
-      infer::CategoryFeaturesRaw(pv, state, User(), Cat(current),
+      infer::CategoryFeaturesRaw(*pv, state, User(), Cat(current),
                                  &batch_features);
       infer::PolicyHeadStep step;
-      step.head1 = &pv.head1_c;
-      step.head2 = &pv.head2_c;
+      step.head1 = &pv->head1_c;
+      step.head2 = &pv->head2_c;
       step.features = batch_features.data();
       step.action_matrix = action_rows.data();
       step.num_actions = n;
       step.out = logits.data();
       batcher->ExecuteHead(&step);
     } else {
-      infer::CategoryLogitsRaw(pv, state, User(), Cat(current),
+      infer::CategoryLogitsRaw(*pv, state, User(), Cat(current),
                                action_rows.data(), n, &scratch, logits.data());
     }
     probs.resize(static_cast<size_t>(n));
@@ -1275,14 +1368,14 @@ struct CadrlRecommender::CompiledBeamDriver {
                       kg::Relation last_rel, kg::CategoryId condition,
                       const std::vector<EntityAction>& actions,
                       std::vector<float>* out) {
-    const int d = sv.dim;
+    const int d = sv->dim;
     const int n = static_cast<int>(actions.size());
     action_rows.resize(static_cast<size_t>(n) * 2 * d);
     float* dst = action_rows.data();
     for (const EntityAction& a : actions) {
-      infer::MaterializeRow(sv.relations, sv.precision, d,
+      infer::MaterializeRow(sv->relations, sv->precision, d,
                             static_cast<int64_t>(a.relation), dst);
-      infer::MaterializeRow(sv.entities, sv.precision, d,
+      infer::MaterializeRow(sv->entities, sv->precision, d,
                             static_cast<int64_t>(a.dst), dst + d);
       dst += 2 * d;
     }
@@ -1291,18 +1384,18 @@ struct CadrlRecommender::CompiledBeamDriver {
         condition != kg::kInvalidCategory ? Cat(condition)
                                           : std::span<const float>();
     if (batcher != nullptr) {
-      infer::EntityFeaturesRaw(pv, state, Ent(entity), Rel(last_rel),
+      infer::EntityFeaturesRaw(*pv, state, Ent(entity), Rel(last_rel),
                                condition_row, &scratch, &batch_features);
       infer::PolicyHeadStep step;
-      step.head1 = &pv.head1_e;
-      step.head2 = &pv.head2_e;
+      step.head1 = &pv->head1_e;
+      step.head2 = &pv->head2_e;
       step.features = batch_features.data();
       step.action_matrix = action_rows.data();
       step.num_actions = n;
       step.out = logits.data();
       batcher->ExecuteHead(&step);
     } else {
-      infer::EntityLogitsRaw(pv, state, Ent(entity), Rel(last_rel),
+      infer::EntityLogitsRaw(*pv, state, Ent(entity), Rel(last_rel),
                              condition_row, action_rows.data(), n, &scratch,
                              logits.data());
     }
@@ -1311,16 +1404,29 @@ struct CadrlRecommender::CompiledBeamDriver {
                             static_cast<size_t>(n));
   }
 
-  void Advance(State* state, kg::EntityId user, kg::CategoryId category,
-               kg::Relation last_rel, kg::EntityId entity) {
-    (void)user;
-    infer::AdvanceRaw(pv, state, User(),
-                      category != kg::kInvalidCategory ? Cat(category) : Zero(),
-                      Rel(last_rel), Ent(entity), &scratch);
+  // next[i] = parents[moves[i].parent] advanced by moves[i], running the
+  // parent-only half of the step once per distinct parent and the
+  // per-child half once per survivor.
+  void Advance(std::span<const State> parents,
+               std::span<const BeamChild> moves, std::vector<State>* next) {
+    if (shared.size() < parents.size()) shared.resize(parents.size());
+    shared_ready.assign(parents.size(), 0);
+    for (size_t i = 0; i < moves.size(); ++i) {
+      const BeamChild& m = moves[i];
+      const size_t p = static_cast<size_t>(m.parent);
+      if (shared_ready[p] == 0) {
+        infer::AdvanceSharedRaw(*pv, parents[p], User(),
+                                CatOrZero(m.category), &scratch, &shared[p]);
+        shared_ready[p] = 1;
+      }
+      infer::AdvanceChildRaw(*pv, shared[p], parents[p], User(),
+                             Rel(m.relation), Ent(m.entity), &scratch,
+                             &(*next)[i]);
+    }
   }
 
-  const infer::ScoringView& sv;
-  const infer::PolicyParamsView& pv;
+  const infer::ScoringView* sv = nullptr;
+  const infer::PolicyParamsView* pv = nullptr;
   infer::PolicyScratch scratch;
   std::vector<float> zeros;
   // Dequantized operand slots (empty and unused for f32 snapshots); one
@@ -1330,11 +1436,12 @@ struct CadrlRecommender::CompiledBeamDriver {
   // Feature row handed to a parked PolicyHeadStep; must stay untouched by
   // other scratch users until ExecuteHead returns, hence its own buffer.
   std::vector<float> batch_features;
-  // Micro-batcher installed by the serving worker for this request, or
-  // null for direct (unbatched) dispatch. Captured once at driver
-  // construction: one request never switches mode mid-search.
-  infer::StepBatcher* const batcher;
+  // Advance's per-parent shared halves, by parent slot.
+  std::vector<infer::SharedAdvance> shared;
+  std::vector<uint8_t> shared_ready;
+  infer::StepBatcher* batcher = nullptr;
   kg::EntityId user_ = kg::kInvalidEntity;
+  BeamScratch<State> beam;
 };
 
 Status CadrlRecommender::RecommendWithContext(
@@ -1350,8 +1457,9 @@ Status CadrlRecommender::RecommendWithContext(
     const std::shared_ptr<const infer::CompiledModel> snapshot =
         AcquireSnapshot();
     if (snapshot != nullptr) {
-      CompiledBeamDriver driver(*snapshot);
-      return BeamSearch(driver, user, k, ctx, snapshot->scoring(),
+      util::ThreadScratch<CompiledBeamDriver> driver;
+      driver->Bind(*snapshot);
+      return BeamSearch(*driver, user, k, ctx, snapshot->scoring(),
                         snapshot->score_scale(), out);
     }
   }
@@ -1366,16 +1474,10 @@ Status CadrlRecommender::BeamSearch(Driver& drv, kg::EntityId user, int k,
                                     const infer::ScoringView& view,
                                     float score_scale,
                                     std::vector<eval::Recommendation>* out) {
+  using State = typename Driver::State;
+  BeamScratch<State>& s = drv.beam;
   const bool dual = options_.use_dual_agent;
-
-  struct BeamElement {
-    kg::EntityId entity;
-    kg::Relation last_rel;
-    kg::CategoryId category;
-    typename Driver::State state;
-    double log_prob;
-    std::vector<eval::PathStep> steps;
-  };
+  const kg::KnowledgeGraph& graph = dataset_->graph;
 
   const auto train_it = train_sets_.find(user);
   const std::unordered_set<kg::EntityId> empty_set;
@@ -1386,37 +1488,43 @@ Status CadrlRecommender::BeamSearch(Driver& drv, kg::EntityId user, int k,
   // entities constantly (shared prefixes, overlapping neighborhoods).
   UserScoreMemo score_memo(view, user);
 
-  BeamElement root;
-  root.entity = user;
-  root.last_rel = kg::Relation::kSelfLoop;
-  root.category =
-      dual ? GreedyInitialCategory(view, user) : kg::kInvalidCategory;
-  const bool category_active = dual && root.category != kg::kInvalidCategory;
-  root.state =
-      drv.InitialState(user, category_active ? root.category
-                                             : kg::kInvalidCategory);
-  root.log_prob = 0.0;
-
-  std::vector<BeamElement> beam = {std::move(root)};
-  struct Candidate {
-    double score;
-    eval::RecommendationPath path;
-    double log_prob;
-  };
-  std::unordered_map<kg::EntityId, Candidate> candidates;
+  s.history.clear();
+  s.candidates.Reset(static_cast<size_t>(view.num_entities));
   // Milestones visited by the category agent; items inside these
   // categories receive the guidance bonus during ranking (§IV-C1: the
   // category agent's milestone-like category-level guidance).
-  std::unordered_set<kg::CategoryId> milestones;
-  if (category_active) milestones.insert(beam[0].category);
+  s.milestones.Reset(view.num_categories);
+
+  const kg::CategoryId root_category =
+      dual ? GreedyInitialCategory(view, user) : kg::kInvalidCategory;
+  // Without an active category agent every beam category is
+  // kInvalidCategory, which the drivers read as "no category".
+  const bool category_active = dual && root_category != kg::kInvalidCategory;
+  s.history.push_back(
+      {-1, user, kg::Relation::kSelfLoop, root_category, /*log_prob=*/0.0});
+  if (s.states.empty()) s.states.resize(1);
+  drv.InitialState(user, root_category, &s.states[0]);
+  if (category_active) s.milestones.Insert(root_category);
+  // The current beam is history[beam_begin, beam_begin + beam_size); its
+  // recurrent states are s.states[0, beam_size).
+  size_t beam_begin = 0;
+  size_t beam_size = 1;
 
   for (int l = 0; l < options_.max_path_length; ++l) {
     // Hop boundary: the natural cancellation point of the search. Partial
     // beams are abandoned — a degraded answer comes from the serving
     // layer's fallback chain, not from a half-expanded beam.
     if (ctx != nullptr) CADRL_RETURN_IF_ERROR(ctx->Check());
-    std::vector<BeamElement> next_beam;
-    for (BeamElement& elem : beam) {
+    // The last hop's children would only seed a hop that never runs, so it
+    // expands nothing: it moves the category agent (its milestones still
+    // earn this hop's candidates the category bonus) and harvests
+    // candidates.
+    const bool last_hop = l + 1 == options_.max_path_length;
+    s.children.clear();
+    for (size_t slot = 0; slot < beam_size; ++slot) {
+      const int32_t node = static_cast<int32_t>(beam_begin + slot);
+      const BeamNode elem = s.history[static_cast<size_t>(node)];
+      const State& state = s.states[slot];
       if (ctx != nullptr) {
         CADRL_RETURN_IF_ERROR(ctx->Check());
         // Chaos surface for the scoring hot path: latency injection makes
@@ -1428,138 +1536,134 @@ Status CadrlRecommender::BeamSearch(Driver& drv, kg::EntityId user, int k,
       // Category agent moves greedily, providing the milestone.
       kg::CategoryId next_category = elem.category;
       if (category_active) {
-        const auto cat_actions =
-            category_env_->ValidActions(user, elem.category, &view);
-        next_category = drv.PickCategory(elem.state, elem.category,
-                                         cat_actions);
-        milestones.insert(next_category);
+        category_env_->ValidActions(user, elem.category, &view,
+                                    &s.category_scored, &s.category_actions);
+        next_category =
+            drv.PickCategory(state, elem.category, s.category_actions);
+        s.milestones.Insert(next_category);
       }
 
-      const std::vector<EntityAction> ent_actions =
-          entity_env_->ValidActions(user, elem.entity,
-                                    category_active ? &milestones : nullptr,
-                                    &score_memo);
-      std::vector<float> log_probs;
-      drv.EntityLogProbs(elem.state, elem.entity, elem.last_rel,
-                         category_active ? next_category
-                                         : kg::kInvalidCategory,
-                         ent_actions, &log_probs);
-      std::vector<float> guidance;
-      if (options_.beam_guidance_weight > 0.0f) {
-        std::vector<kg::EntityId> dsts;
-        dsts.reserve(ent_actions.size());
-        for (const EntityAction& a : ent_actions) dsts.push_back(a.dst);
-        guidance.resize(dsts.size());
-        score_memo.ScoreBatch(dsts, guidance);
-      }
-      std::vector<std::pair<float, int64_t>> ranked;
-      ranked.reserve(ent_actions.size());
-      for (int64_t i = 0; i < static_cast<int64_t>(log_probs.size()); ++i) {
-        float key = log_probs[static_cast<size_t>(i)];
+      if (!last_hop) {
+        entity_env_->ValidActions(user, elem.entity,
+                                  category_active ? &s.milestones : nullptr,
+                                  &score_memo, &s.action_scratch,
+                                  &s.entity_actions);
+        const std::vector<EntityAction>& actions = s.entity_actions;
+        drv.EntityLogProbs(state, elem.entity, elem.last_rel, next_category,
+                           actions, &s.log_probs);
         if (options_.beam_guidance_weight > 0.0f) {
-          key += options_.beam_guidance_weight *
-                 guidance[static_cast<size_t>(i)] / score_scale;
+          s.dsts.clear();
+          for (const EntityAction& a : actions) s.dsts.push_back(a.dst);
+          s.guidance.resize(s.dsts.size());
+          score_memo.ScoreBatch(s.dsts, s.guidance);
         }
-        ranked.emplace_back(key, i);
+        s.ranked.clear();
+        for (int64_t i = 0; i < static_cast<int64_t>(s.log_probs.size());
+             ++i) {
+          float key = s.log_probs[static_cast<size_t>(i)];
+          if (options_.beam_guidance_weight > 0.0f) {
+            key += options_.beam_guidance_weight *
+                   s.guidance[static_cast<size_t>(i)] / score_scale;
+          }
+          s.ranked.emplace_back(key, i);
+        }
+        const int64_t expand = std::min<int64_t>(
+            options_.beam_expand, static_cast<int64_t>(s.ranked.size()));
+        std::partial_sort(s.ranked.begin(), s.ranked.begin() + expand,
+                          s.ranked.end(), [](const auto& a, const auto& b) {
+                            if (a.first != b.first) return a.first > b.first;
+                            return a.second < b.second;
+                          });
+        for (int64_t i = 0; i < expand; ++i) {
+          const size_t idx = static_cast<size_t>(s.ranked[i].second);
+          const EntityAction action = actions[idx];
+          s.children.push_back(
+              {elem.log_prob + static_cast<double>(s.log_probs[idx]),
+               action.dst, action.relation, next_category,
+               static_cast<int32_t>(slot)});
+        }
       }
-      const int64_t expand = std::min<int64_t>(
-          options_.beam_expand, static_cast<int64_t>(ranked.size()));
-      std::partial_sort(ranked.begin(), ranked.begin() + expand, ranked.end(),
-                        [](const auto& a, const auto& b) {
-                          if (a.first != b.first) return a.first > b.first;
-                          return a.second < b.second;
-                        });
+
       // Candidate harvesting considers *every* item adjacent to this beam
       // state (PGPR's terminal consideration), independent of the guided
       // action filtering, so ranking coverage is decoupled from both the
       // beam width and the milestone narrowing. Item endpoints are scored
       // in one batch through the beam-wide memo.
-      std::vector<const kg::Edge*> item_edges;
-      std::vector<kg::EntityId> item_ids;
-      for (const kg::Edge& edge : dataset_->graph.Neighbors(elem.entity)) {
-        if (!dataset_->graph.IsItem(edge.dst)) continue;
+      s.item_relations.clear();
+      s.item_ids.clear();
+      for (const kg::Edge& edge : graph.Neighbors(elem.entity)) {
+        if (!graph.IsItem(edge.dst)) continue;
         if (exclude.count(edge.dst) > 0) continue;
-        item_edges.push_back(&edge);
-        item_ids.push_back(edge.dst);
+        s.item_relations.push_back(edge.relation);
+        s.item_ids.push_back(edge.dst);
       }
-      std::vector<float> item_scores(item_ids.size());
-      score_memo.ScoreBatch(item_ids, item_scores);
-      for (size_t ei = 0; ei < item_edges.size(); ++ei) {
-        const kg::Edge& edge = *item_edges[ei];
+      s.item_scores.resize(s.item_ids.size());
+      score_memo.ScoreBatch(s.item_ids, s.item_scores);
+      for (size_t ei = 0; ei < s.item_ids.size(); ++ei) {
+        const kg::EntityId item = s.item_ids[ei];
         const double log_prob = elem.log_prob;
         double score =
             options_.rank_score_weight *
-                static_cast<double>(item_scores[ei]) +
+                static_cast<double>(s.item_scores[ei]) +
             options_.rank_path_weight * log_prob;
-        if (category_active) {
-          const kg::CategoryId item_cat =
-              dataset_->graph.CategoryOf(edge.dst);
-          if (item_cat != kg::kInvalidCategory &&
-              milestones.count(item_cat) > 0) {
-            score += options_.rank_category_weight;
-          }
+        if (category_active && s.milestones.Contains(graph.CategoryOf(item))) {
+          score += options_.rank_category_weight;
         }
-        auto it = candidates.find(edge.dst);
-        if (it == candidates.end() || score > it->second.score) {
-          eval::RecommendationPath path;
-          path.user = user;
-          path.steps = elem.steps;
-          path.steps.push_back({edge.relation, edge.dst});
-          candidates[edge.dst] = {score, std::move(path), log_prob};
+        bool inserted = false;
+        BeamCandidate& cand =
+            s.candidates.Insert(static_cast<size_t>(item), &inserted);
+        if (inserted || score > cand.score) {
+          cand = {score, node, s.item_relations[ei]};
         }
-      }
-      for (int64_t i = 0; i < expand; ++i) {
-        const EntityAction action =
-            ent_actions[static_cast<size_t>(ranked[i].second)];
-        BeamElement child;
-        child.entity = action.dst;
-        child.last_rel = action.relation;
-        child.category = next_category;
-        child.log_prob =
-            elem.log_prob +
-            static_cast<double>(
-                log_probs[static_cast<size_t>(ranked[i].second)]);
-        child.steps = elem.steps;
-        if (action.relation != kg::Relation::kSelfLoop) {
-          child.steps.push_back({action.relation, action.dst});
-        }
-        // Recurrent state advanced lazily, only for beam survivors.
-        child.state = elem.state;
-        next_beam.push_back(std::move(child));
       }
     }
-    std::sort(next_beam.begin(), next_beam.end(),
-              [](const BeamElement& a, const BeamElement& b) {
+    if (last_hop) break;
+
+    std::sort(s.children.begin(), s.children.end(),
+              [](const BeamChild& a, const BeamChild& b) {
                 if (a.log_prob != b.log_prob) return a.log_prob > b.log_prob;
                 return a.entity < b.entity;
               });
-    if (static_cast<int64_t>(next_beam.size()) > options_.beam_width) {
-      next_beam.resize(static_cast<size_t>(options_.beam_width));
+    if (static_cast<int64_t>(s.children.size()) > options_.beam_width) {
+      s.children.resize(static_cast<size_t>(options_.beam_width));
     }
-    for (BeamElement& child : next_beam) {
-      drv.Advance(&child.state, user,
-                  category_active ? child.category : kg::kInvalidCategory,
-                  child.last_rel, child.entity);
+    if (s.children.empty()) break;
+    // Survivors join the history, and their recurrent states are advanced
+    // into the next beam's slots.
+    const size_t next_begin = s.history.size();
+    for (const BeamChild& c : s.children) {
+      s.history.push_back({static_cast<int32_t>(beam_begin) + c.parent,
+                           c.entity, c.relation, c.category, c.log_prob});
     }
-    beam = std::move(next_beam);
-    if (beam.empty()) break;
+    if (s.next_states.size() < s.children.size()) {
+      s.next_states.resize(s.children.size());
+    }
+    drv.Advance(std::span<const State>(s.states.data(), beam_size),
+                s.children, &s.next_states);
+    std::swap(s.states, s.next_states);
+    beam_begin = next_begin;
+    beam_size = s.children.size();
   }
 
-  std::vector<std::pair<kg::EntityId, Candidate>> ranked(candidates.begin(),
-                                                         candidates.end());
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (a.second.score != b.second.score) {
-      return a.second.score > b.second.score;
-    }
-    return a.first < b.first;
-  });
-  out->reserve(static_cast<size_t>(k));
-  for (auto& [item, cand] : ranked) {
-    if (static_cast<int>(out->size()) >= k) break;
+  s.ranking.clear();
+  for (const uint32_t item : s.candidates.keys()) {
+    s.ranking.emplace_back(s.candidates.at(item).score,
+                           static_cast<kg::EntityId>(item));
+  }
+  const size_t n = std::min(static_cast<size_t>(k), s.ranking.size());
+  std::partial_sort(s.ranking.begin(), s.ranking.begin() + n, s.ranking.end(),
+                    [](const auto& a, const auto& b) {
+                      if (a.first != b.first) return a.first > b.first;
+                      return a.second < b.second;
+                    });
+  out->reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const auto [score, item] = s.ranking[i];
     eval::Recommendation rec;
     rec.item = item;
-    rec.score = cand.score;
-    rec.path = std::move(cand.path);
+    rec.score = score;
+    BuildPath(s.history, user, item, s.candidates.at(static_cast<size_t>(item)),
+              &rec.path);
     out->push_back(std::move(rec));
   }
   return Status::OK();
@@ -1567,8 +1671,10 @@ Status CadrlRecommender::BeamSearch(Driver& drv, kg::EntityId user, int k,
 
 std::vector<eval::RecommendationPath> CadrlRecommender::FindPaths(
     kg::EntityId user, int max_paths) {
+  std::vector<eval::Recommendation> recs = Recommend(user, max_paths);
   std::vector<eval::RecommendationPath> out;
-  for (eval::Recommendation& rec : Recommend(user, max_paths)) {
+  out.reserve(recs.size());
+  for (eval::Recommendation& rec : recs) {
     if (!rec.path.empty()) out.push_back(std::move(rec.path));
   }
   return out;

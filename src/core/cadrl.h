@@ -132,8 +132,8 @@ class CadrlRecommender : public eval::Recommender {
   bool SupportsPaths() const override { return true; }
   // Inference reads only frozen state (by default an immutable compiled
   // snapshot acquired per request, otherwise the embedding store + policy
-  // weights) and the beam search keeps all scratch on the stack, so
-  // concurrent Recommend/FindPaths calls on one fitted model are safe;
+  // weights) and the beam search keeps its scratch per call or per thread,
+  // so concurrent Recommend/FindPaths calls on one fitted model are safe;
   // cadrl_stress_test and serve_chaos_test exercise this under
   // ThreadSanitizer, including snapshot hot-swaps mid-load.
   bool SupportsConcurrentInference() const override { return true; }
@@ -249,10 +249,11 @@ class CadrlRecommender : public eval::Recommender {
 
   // The beam-search control flow, written once and instantiated for both
   // inference backends: `Driver` supplies the four policy forwards
-  // (initial state, category pick, entity log-probs, state advance) over
-  // either ag tensors (TapeBeamDriver) or raw snapshot buffers
-  // (CompiledBeamDriver). `view`/`score_scale` come from the same backend
-  // as the driver, so one request never mixes live and snapshot tables.
+  // (initial state, category pick, entity log-probs, advancing the beam
+  // survivors) over either ag tensors (TapeBeamDriver) or raw snapshot
+  // buffers (CompiledBeamDriver), and owns the search's scratch.
+  // `view`/`score_scale` come from the same backend as the driver, so one
+  // request never mixes live and snapshot tables.
   struct TapeBeamDriver;
   struct CompiledBeamDriver;
   template <typename Driver>

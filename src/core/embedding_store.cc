@@ -228,9 +228,11 @@ float UserScoreMemo::Score(kg::EntityId entity) {
     CADRL_CHECK(mode_ == store_->score_mode())
         << "UserScoreMemo used across a score-mode switch";
   }
-  const auto [it, inserted] = cache_.try_emplace(entity, 0.0f);
-  if (inserted) it->second = infer::ScoreUserEntity(view_, user_, entity);
-  return it->second;
+  bool inserted = false;
+  float& score =
+      tables_->cache.Insert(static_cast<size_t>(entity), &inserted);
+  if (inserted) score = infer::ScoreUserEntity(view_, user_, entity);
+  return score;
 }
 
 void UserScoreMemo::ScoreBatch(std::span<const kg::EntityId> entities,
@@ -240,19 +242,19 @@ void UserScoreMemo::ScoreBatch(std::span<const kg::EntityId> entities,
         << "UserScoreMemo used across a score-mode switch";
   }
   CADRL_CHECK_EQ(entities.size(), out.size());
-  miss_ids_.clear();
-  miss_pos_.clear();
+  Tables& t = *tables_;
+  t.miss_ids.clear();
+  t.miss_pos.clear();
   for (size_t i = 0; i < entities.size(); ++i) {
-    const auto it = cache_.find(entities[i]);
-    if (it != cache_.end()) {
-      out[i] = it->second;
+    if (const float* hit = t.cache.Find(static_cast<size_t>(entities[i]))) {
+      out[i] = *hit;
     } else {
-      miss_ids_.push_back(entities[i]);
-      miss_pos_.push_back(i);
+      t.miss_ids.push_back(entities[i]);
+      t.miss_pos.push_back(i);
     }
   }
-  if (miss_ids_.empty()) return;
-  miss_scores_.resize(miss_ids_.size());
+  if (t.miss_ids.empty()) return;
+  t.miss_scores.resize(t.miss_ids.size());
   if (infer::StepBatcher* batcher = infer::CurrentStepBatcher();
       batcher != nullptr) {
     // Serving worker with micro-batching installed: park the miss set so
@@ -261,15 +263,20 @@ void UserScoreMemo::ScoreBatch(std::span<const kg::EntityId> entities,
     infer::ScoreStep step;
     step.view = &view_;
     step.user = user_;
-    step.entities = miss_ids_;
-    step.out = miss_scores_;
+    step.entities = t.miss_ids;
+    step.out = t.miss_scores;
     batcher->ExecuteScore(&step);
   } else {
-    infer::ScoreUserEntities(view_, user_, miss_ids_, miss_scores_);
+    infer::ScoreUserEntities(view_, user_, t.miss_ids, t.miss_scores);
   }
-  for (size_t i = 0; i < miss_ids_.size(); ++i) {
-    cache_.emplace(miss_ids_[i], miss_scores_[i]);
-    out[miss_pos_[i]] = miss_scores_[i];
+  for (size_t i = 0; i < t.miss_ids.size(); ++i) {
+    // A batch may name one entity twice; the first copy's score is the
+    // one kept, matching the map's emplace.
+    bool inserted = false;
+    float& cached =
+        t.cache.Insert(static_cast<size_t>(t.miss_ids[i]), &inserted);
+    if (inserted) cached = t.miss_scores[i];
+    out[t.miss_pos[i]] = t.miss_scores[i];
   }
 }
 

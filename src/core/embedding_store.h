@@ -3,14 +3,15 @@
 
 #include <iosfwd>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "autograd/tensor.h"
 #include "embed/transe.h"
 #include "infer/scoring.h"
 #include "kg/graph.h"
+#include "util/stamped_table.h"
 #include "util/status.h"
+#include "util/thread_scratch.h"
 
 namespace cadrl {
 namespace core {
@@ -120,17 +121,24 @@ class EmbeddingStore {
 // mode is captured at construction and checked on use, so a memo can never
 // serve scores across a mode switch. Not thread-safe: each worker owns its
 // own memo (stack-local per rollout / per Recommend call).
+//
+// The cache is an entity-indexed util::StampedTable borrowed from this
+// thread's scratch, so opening a memo is an O(1) generation bump and a
+// warmed thread scores without touching the heap.
 class UserScoreMemo {
  public:
   UserScoreMemo(const EmbeddingStore* store, kg::EntityId user)
-      : store_(store), user_(user), mode_(store->score_mode()),
-        view_(store->View()) {}
+      : UserScoreMemo(store->View(), user) {
+    store_ = store;
+  }
 
   // Memoized scoring over a frozen snapshot view (compiled inference).
   // The view is immutable by contract, so there is no mode-switch hazard
   // to check against.
   UserScoreMemo(const infer::ScoringView& view, kg::EntityId user)
-      : store_(nullptr), user_(user), mode_(view.mode), view_(view) {}
+      : store_(nullptr), user_(user), mode_(view.mode), view_(view) {
+    tables_->cache.Reset(static_cast<size_t>(view.num_entities));
+  }
 
   float Score(kg::EntityId entity);
 
@@ -144,11 +152,14 @@ class UserScoreMemo {
   kg::EntityId user_;
   EmbeddingStore::ScoreMode mode_;
   infer::ScoringView view_;
-  std::unordered_map<kg::EntityId, float> cache_;
-  // Scratch for ScoreBatch misses, kept to avoid re-allocating per step.
-  std::vector<kg::EntityId> miss_ids_;
-  std::vector<size_t> miss_pos_;
-  std::vector<float> miss_scores_;
+  struct Tables {
+    util::StampedTable<float> cache;
+    // ScoreBatch misses, gathered for one batched scoring call.
+    std::vector<kg::EntityId> miss_ids;
+    std::vector<size_t> miss_pos;
+    std::vector<float> miss_scores;
+  };
+  util::ThreadScratch<Tables> tables_;
 };
 
 }  // namespace core

@@ -1,7 +1,8 @@
 #ifndef CADRL_CORE_ENVIRONMENT_H_
 #define CADRL_CORE_ENVIRONMENT_H_
 
-#include <unordered_set>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/embedding_store.h"
@@ -19,6 +20,40 @@ struct EntityAction {
   kg::EntityId dst;
 
   friend bool operator==(const EntityAction&, const EntityAction&) = default;
+};
+
+// A set of category ids as a bitset over [0, num_categories): the beam
+// search's milestone set, reset per request without freeing its words.
+class CategorySet {
+ public:
+  void Reset(int64_t num_categories) {
+    words_.assign(static_cast<size_t>((num_categories + 63) / 64), 0);
+    size_ = 0;
+  }
+  void Insert(kg::CategoryId c) {
+    uint64_t& word = words_[static_cast<size_t>(c) >> 6];
+    const uint64_t bit = uint64_t{1} << (static_cast<uint32_t>(c) & 63);
+    if ((word & bit) == 0) ++size_;
+    word |= bit;
+  }
+  bool Contains(kg::CategoryId c) const {
+    if (c < 0 || static_cast<size_t>(c) >= 64 * words_.size()) return false;
+    return (words_[static_cast<size_t>(c) >> 6] >>
+            (static_cast<uint32_t>(c) & 63)) & 1;
+  }
+  bool empty() const { return size_ == 0; }
+
+ private:
+  std::vector<uint64_t> words_;
+  int64_t size_ = 0;
+};
+
+// Reusable buffers of EntityEnvironment::ValidActions' pruning step.
+struct ActionScratch {
+  std::vector<const kg::Edge*> edges;
+  std::vector<kg::EntityId> endpoints;
+  std::vector<float> scores;
+  std::vector<std::pair<float, const kg::Edge*>> scored;
 };
 
 // The entity agent's MDP view of the KG: states are (user, current entity),
@@ -44,9 +79,16 @@ class EntityEnvironment {
   // already-scored entities are served from it instead of re-scored.
   std::vector<EntityAction> ValidActions(
       kg::EntityId user, kg::EntityId current,
-      const std::unordered_set<kg::CategoryId>* milestone_categories =
-          nullptr,
+      const CategorySet* milestone_categories = nullptr,
       UserScoreMemo* memo = nullptr) const;
+
+  // The same actions written into `out`, with the pruning buffers in
+  // `scratch`: a caller that keeps both across calls allocates nothing
+  // once they have grown.
+  void ValidActions(kg::EntityId user, kg::EntityId current,
+                    const CategorySet* milestone_categories,
+                    UserScoreMemo* memo, ActionScratch* scratch,
+                    std::vector<EntityAction>* out) const;
 
   int max_actions() const { return max_actions_; }
 
@@ -70,6 +112,12 @@ class CategoryEnvironment {
   std::vector<kg::CategoryId> ValidActions(
       kg::EntityId user, kg::CategoryId current,
       const infer::ScoringView* view = nullptr) const;
+
+  // The same actions written into `out`; `scored` is the pruning buffer.
+  void ValidActions(kg::EntityId user, kg::CategoryId current,
+                    const infer::ScoringView* view,
+                    std::vector<std::pair<float, kg::CategoryId>>* scored,
+                    std::vector<kg::CategoryId>* out) const;
 
   int max_actions() const { return max_actions_; }
 

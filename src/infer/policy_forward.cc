@@ -28,21 +28,25 @@ void LinearForwardRaw(const LinearView& layer, const float* x, float* out) {
 //   i,f,o = sigmoid(slices), g = tanh(slice)
 //   c' = f*c + i*g ;  h' = o * tanh(c')
 // Each tape op is one loop writing through memory, which pins f32 rounding
-// exactly as the autograd forwards do. h_out/c_out must not alias prev_h /
+// exactly as the autograd forwards do. The step is split at the hidden
+// product gh = W_h h (LstmHiddenProductRaw) so a caller can share it
+// across inputs; LstmFinishRaw does the rest. h_out/c_out must not alias
 // prev_c.
-void LstmStepRaw(const LstmView& lstm, const float* x, const float* prev_h,
-                 const float* prev_c, PolicyScratch* s, float* h_out,
-                 float* c_out) {
+void LstmHiddenProductRaw(const LstmView& lstm, const float* prev_h,
+                          float* gh) {
+  kernels::Gemv(lstm.w_hidden, 4 * lstm.hidden, lstm.hidden, prev_h, gh);
+}
+
+void LstmFinishRaw(const LstmView& lstm, const float* x, const float* gh,
+                   const float* prev_c, PolicyScratch* s, float* h_out,
+                   float* c_out) {
   const size_t h = static_cast<size_t>(lstm.hidden);
   const size_t g4 = 4 * h;
   s->gx.resize(g4);
-  s->gh.resize(g4);
   s->gsum.resize(g4);
   s->gates.resize(g4);
   kernels::Gemv(lstm.w_input, static_cast<int>(g4), lstm.in, x, s->gx.data());
-  kernels::Gemv(lstm.w_hidden, static_cast<int>(g4), lstm.hidden, prev_h,
-                s->gh.data());
-  elemwise::AddVec(s->gx.data(), s->gh.data(), s->gsum.data(), g4);
+  elemwise::AddVec(s->gx.data(), gh, s->gsum.data(), g4);
   elemwise::AddVec(s->gsum.data(), lstm.bias, s->gates.data(), g4);
   s->ig.resize(h);
   s->fg.resize(h);
@@ -60,6 +64,14 @@ void LstmStepRaw(const LstmView& lstm, const float* x, const float* prev_h,
   elemwise::AddVec(s->ta.data(), s->tb.data(), c_out, h);
   elemwise::TanhVec(c_out, s->tc.data(), h);
   elemwise::MulVec(s->og.data(), s->tc.data(), h_out, h);
+}
+
+void LstmStepRaw(const LstmView& lstm, const float* x, const float* prev_h,
+                 const float* prev_c, PolicyScratch* s, float* h_out,
+                 float* c_out) {
+  s->gh.resize(4 * static_cast<size_t>(lstm.hidden));
+  LstmHiddenProductRaw(lstm, prev_h, s->gh.data());
+  LstmFinishRaw(lstm, x, s->gh.data(), prev_c, s, h_out, c_out);
 }
 
 // Concatenates rank-1 spans into s->x (the ag::Concat of the tape path is
@@ -118,35 +130,56 @@ void AdvanceRaw(const PolicyParamsView& view, RawPolicyState* state,
                 std::span<const float> rel_emb, std::span<const float> ent_emb,
                 PolicyScratch* s) {
   CADRL_CHECK(state != nullptr);
+  AdvanceSharedRaw(view, *state, user, cat_emb, s, &s->shared);
+  AdvanceChildRaw(view, s->shared, *state, user, rel_emb, ent_emb, s, state);
+}
+
+void AdvanceSharedRaw(const PolicyParamsView& view,
+                      const RawPolicyState& parent,
+                      std::span<const float> user,
+                      std::span<const float> cat_emb, PolicyScratch* s,
+                      SharedAdvance* shared) {
   const size_t h = static_cast<size_t>(view.hidden);
-  const float* hidden_c = state->cat_h.data();
-  const float* hidden_e = state->ent_h.data();
+  const float* hidden_c = parent.cat_h.data();
+  const float* hidden_e = parent.ent_h.data();
   if (view.share_history) {
     // Eqs 13-14: each agent's next hidden input fuses both histories —
     // both mixes read the OLD state.
     s->mixed_c.resize(h);
     s->mixed_e.resize(h);
-    const float* mc_in = ConcatInto(&s->x, {state->cat_h, state->ent_h});
+    const float* mc_in = ConcatInto(&s->x, {parent.cat_h, parent.ent_h});
     LinearForwardRaw(view.mix_c, mc_in, s->mixed_c.data());
-    const float* me_in = ConcatInto(&s->x, {state->ent_h, state->cat_h});
+    const float* me_in = ConcatInto(&s->x, {parent.ent_h, parent.cat_h});
     LinearForwardRaw(view.mix_e, me_in, s->mixed_e.data());
     hidden_c = s->mixed_c.data();
     hidden_e = s->mixed_e.data();
   }
-  s->nh.resize(h);
-  s->nc.resize(h);
+  shared->cat_h.resize(h);
+  shared->cat_c.resize(h);
   const float* x = ConcatInto(&s->x, {user, cat_emb});
-  LstmStepRaw(view.lstm_c, x, hidden_c, state->cat_c.data(), s, s->nh.data(),
-              s->nc.data());
-  std::swap(state->cat_h, s->nh);
-  std::swap(state->cat_c, s->nc);
+  LstmStepRaw(view.lstm_c, x, hidden_c, parent.cat_c.data(), s,
+              shared->cat_h.data(), shared->cat_c.data());
+  shared->ent_gh.resize(4 * h);
+  LstmHiddenProductRaw(view.lstm_e, hidden_e, shared->ent_gh.data());
+}
+
+void AdvanceChildRaw(const PolicyParamsView& view, const SharedAdvance& shared,
+                     const RawPolicyState& parent, std::span<const float> user,
+                     std::span<const float> rel_emb,
+                     std::span<const float> ent_emb, PolicyScratch* s,
+                     RawPolicyState* child) {
+  CADRL_CHECK(child != nullptr);
+  const size_t h = static_cast<size_t>(view.hidden);
   s->nh.resize(h);
   s->nc.resize(h);
-  x = ConcatInto(&s->x, {user, rel_emb, ent_emb});
-  LstmStepRaw(view.lstm_e, x, hidden_e, state->ent_c.data(), s, s->nh.data(),
-              s->nc.data());
-  std::swap(state->ent_h, s->nh);
-  std::swap(state->ent_c, s->nc);
+  const float* x = ConcatInto(&s->x, {user, rel_emb, ent_emb});
+  LstmFinishRaw(view.lstm_e, x, shared.ent_gh.data(), parent.ent_c.data(), s,
+                s->nh.data(), s->nc.data());
+  // Swaps, not copies: the child's old buffers become the next scratch.
+  std::swap(child->ent_h, s->nh);
+  std::swap(child->ent_c, s->nc);
+  child->cat_h.assign(shared.cat_h.begin(), shared.cat_h.end());
+  child->cat_c.assign(shared.cat_c.begin(), shared.cat_c.end());
 }
 
 void CategoryFeaturesRaw(const PolicyParamsView& view,

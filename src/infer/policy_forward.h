@@ -56,6 +56,17 @@ struct RawPolicyState {
   std::vector<float> ent_h, ent_c;
 };
 
+// The half of one AdvanceRaw step that depends only on the parent state and
+// the step's category (AdvanceSharedRaw). Beam children of one parent
+// inherit the parent's next category, so they share all of it: both
+// history mixes, the whole category-LSTM step and the entity LSTM's
+// hidden-state product; only the entity LSTM's input product and gate
+// tail differ per child (AdvanceChildRaw).
+struct SharedAdvance {
+  std::vector<float> cat_h, cat_c;  // the category agent's next state
+  std::vector<float> ent_gh;        // entity LSTM W_h * hidden, 4*hidden
+};
+
 // Reusable per-call scratch buffers; one instance per beam search /
 // thread. Keeping them out of the functions makes the steady state
 // allocation-free once the vectors have grown to their working sizes.
@@ -68,6 +79,7 @@ struct PolicyScratch {
   std::vector<float> mixed_c, mixed_e;     // Eq 13-14 mixed hiddens
   std::vector<float> nh, nc;               // next h/c before commit
   std::vector<float> features, a1, r1, hid;  // head pipeline
+  SharedAdvance shared;                    // AdvanceRaw's shared half
 };
 
 // Eq 12: seeds both agents from zero LSTM state with the episode's first
@@ -79,11 +91,30 @@ void InitialStateRaw(const PolicyParamsView& view, std::span<const float> user,
                      RawPolicyState* state);
 
 // Eqs 13-14: advances both histories after the step's moves, mixing the
-// previous hidden outputs across agents when share_history is on.
+// previous hidden outputs across agents when share_history is on. It is
+// AdvanceSharedRaw followed by AdvanceChildRaw on the same state.
 void AdvanceRaw(const PolicyParamsView& view, RawPolicyState* state,
                 std::span<const float> user, std::span<const float> cat_emb,
                 std::span<const float> rel_emb, std::span<const float> ent_emb,
                 PolicyScratch* scratch);
+
+// The parent-only half of AdvanceRaw: fills *shared from `parent` and the
+// step's category embedding.
+void AdvanceSharedRaw(const PolicyParamsView& view,
+                      const RawPolicyState& parent,
+                      std::span<const float> user,
+                      std::span<const float> cat_emb, PolicyScratch* scratch,
+                      SharedAdvance* shared);
+
+// The per-child half: *child becomes `parent` advanced by the move
+// (rel_emb, ent_emb), given the parent's `shared` half. The entity gates
+// are summed (W_x x + W_h h) + b as in AdvanceRaw, so the result is
+// byte-identical to it. `child` may be `parent`.
+void AdvanceChildRaw(const PolicyParamsView& view, const SharedAdvance& shared,
+                     const RawPolicyState& parent, std::span<const float> user,
+                     std::span<const float> rel_emb,
+                     std::span<const float> ent_emb, PolicyScratch* scratch,
+                     RawPolicyState* child);
 
 // Eq 15: logits of `num_actions` category actions against a pre-stacked
 // (num_actions x d) action matrix. `out` has length num_actions.

@@ -44,6 +44,7 @@ void Failpoints::Arm(const std::string& name, int count, int skip) {
   a.skip = skip;
   a.remaining = count;
   armed_[name] = std::move(a);
+  PublishArmingsLocked();
 }
 
 void Failpoints::ArmWithProbability(const std::string& name, double p,
@@ -53,6 +54,7 @@ void Failpoints::ArmWithProbability(const std::string& name, double p,
   a.probability = p;
   a.seed = seed;
   armed_[name] = std::move(a);
+  PublishArmingsLocked();
 }
 
 void Failpoints::ArmLatency(const std::string& name,
@@ -64,18 +66,21 @@ void Failpoints::ArmLatency(const std::string& name,
   a.probability = p;
   a.seed = seed;
   latency_[name] = std::move(a);
+  PublishArmingsLocked();
 }
 
 void Failpoints::Disarm(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   armed_.erase(name);
   latency_.erase(name);
+  PublishArmingsLocked();
 }
 
 void Failpoints::DisarmAll() {
   std::lock_guard<std::mutex> lock(mu_);
   armed_.clear();
   latency_.clear();
+  PublishArmingsLocked();
 }
 
 void Failpoints::SetSleeper(
@@ -84,7 +89,10 @@ void Failpoints::SetSleeper(
   sleeper_ = std::move(sleeper);
 }
 
-bool Failpoints::Hit(const std::string& name) {
+bool Failpoints::Hit(std::string_view name) {
+  // Unarmed fast path: no lock, no lookup. An arming racing with this load
+  // is ordered as if it happened just after the hit.
+  if (armings_.load(std::memory_order_acquire) == 0) return false;
   const uint64_t token = g_thread_token;
   std::chrono::microseconds delay{0};
   std::function<void(std::chrono::microseconds)> sleeper;

@@ -1,22 +1,26 @@
 #ifndef CADRL_UTIL_FAILPOINT_H_
 #define CADRL_UTIL_FAILPOINT_H_
 
+#include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 namespace cadrl {
 
 // A registry of named failure-injection points. Production code places
 // `CADRL_FAILPOINT("subsystem/event")` at a spot where a fault can occur
-// (a short write, ENOSPC, a crash between steps); the call is a cheap map
-// lookup returning false unless a test armed that name. Tests arm a point
-// with an optional skip count ("fire on the 3rd hit") and a trigger budget
-// ("fire twice, then fall through"), run the workload, and assert that the
-// failure surfaced as a Status instead of a torn artifact or an abort.
+// (a short write, ENOSPC, a crash between steps); while nothing is armed
+// the call is one atomic load, otherwise a map lookup returning false
+// unless a test armed that name. Tests arm a point with an optional skip
+// count ("fire on the 3rd hit") and a trigger budget ("fire twice, then
+// fall through"), run the workload, and assert that the failure surfaced
+// as a Status instead of a torn artifact or an abort.
 //
 // Beyond the deterministic count mode, chaos tests can arm a point
 // probabilistically (`ArmWithProbability`) and/or with latency injection
@@ -57,7 +61,7 @@ class Failpoints {
   // (count mode) or one per-token draw (probability mode). Sleeps first
   // when a latency arming fires; the sleep happens outside the registry
   // lock, so concurrent hits are never serialized by an injected delay.
-  bool Hit(const std::string& name);
+  bool Hit(std::string_view name);
 
   // Number of times `name` has fired since it was last armed.
   int fire_count(const std::string& name) const;
@@ -96,11 +100,29 @@ class Failpoints {
     int fired = 0;
   };
 
+  // Lets the maps be searched by string_view without building a string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  template <typename V>
+  using NameMap = std::unordered_map<std::string, V, NameHash, std::equal_to<>>;
+
   Failpoints() = default;
 
+  // Publishes the number of armings; called with mu_ held after every
+  // change to armed_ or latency_.
+  void PublishArmingsLocked() {
+    armings_.store(armed_.size() + latency_.size(), std::memory_order_release);
+  }
+
   mutable std::mutex mu_;
-  std::unordered_map<std::string, Arming> armed_;
-  std::unordered_map<std::string, LatencyArming> latency_;
+  NameMap<Arming> armed_;
+  NameMap<LatencyArming> latency_;
+  // armed_.size() + latency_.size(): zero lets Hit return without locking.
+  std::atomic<size_t> armings_{0};
   std::function<void(std::chrono::microseconds)> sleeper_;
 };
 

@@ -6,6 +6,7 @@
 // scratch buffer, an unguarded counter — shows up either as a TSan report
 // or as a result mismatch.
 
+#include <atomic>
 #include <future>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "data/generator.h"
 #include "eval/evaluator.h"
 #include "serve/recommend_service.h"
+#include "util/failpoint.h"
 
 namespace cadrl {
 namespace {
@@ -243,6 +245,38 @@ TEST_F(CadrlStressTest, ParallelEvaluationMatchesSequential) {
   EXPECT_EQ(sequential.recall, parallel.recall);
   EXPECT_EQ(sequential.hit_rate, parallel.hit_rate);
   EXPECT_EQ(sequential.precision, parallel.precision);
+}
+
+// The failpoint registry answers an unarmed Hit from one atomic load,
+// without its lock. One thread arms and disarms while three threads hit:
+// under ThreadSanitizer this checks that the lock-free read of the arming
+// count is race-free; in every build each arming is seen by the hitters and
+// nothing fires once the point is disarmed.
+TEST(FailpointStressTest, ArmDisarmWhileThreeThreadsHit) {
+  Failpoints& fp = Failpoints::Instance();
+  fp.DisarmAll();
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> fired{0};
+  std::vector<std::thread> hitters;
+  for (int t = 0; t < 3; ++t) {
+    hitters.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        if (fp.Hit("stress/churn")) fired.fetch_add(1);
+      }
+    });
+  }
+  constexpr int kRounds = 200;
+  for (int round = 0; round < kRounds; ++round) {
+    const int64_t before = fired.load();
+    fp.Arm("stress/churn", /*count=*/-1);
+    while (fired.load() == before) std::this_thread::yield();
+    fp.Disarm("stress/churn");
+  }
+  stop.store(true);
+  for (std::thread& t : hitters) t.join();
+  EXPECT_GE(fired.load(), kRounds);
+  EXPECT_FALSE(fp.Hit("stress/churn"));
+  EXPECT_EQ(fp.fire_count("stress/churn"), 0);
 }
 
 }  // namespace

@@ -157,7 +157,7 @@ void BM_GemvQ8(benchmark::State& state) {
 
 // ---------- GemmNT against an encoded right-hand side ----------
 
-constexpr int kGemmM = 16;  // stacked features (micro-batched beam steps)
+constexpr int kGemmM = 16;  // stacked feature rows
 
 void BM_GemmNTF32(benchmark::State& state) {
   const QuantTable& t = TableFor(state);

@@ -15,8 +15,7 @@
 //              [--requests N] [--timeout_ms N] [--fail_p P]
 //              [--latency_us N] [--latency_p P] [--seed S]
 //              [--reload_from <model-path>] [--shard_dir <dir>]
-//              [--reload_every_ms N]
-//              [--batch_max N] [--batch_linger_us N] [--precision <p>]
+//              [--reload_every_ms N] [--precision <p>]
 //              [--adaptive_admission] [--metrics_every_ms N]
 
 #include <algorithm>
@@ -102,15 +101,6 @@ int Usage() {
          "  --reload_every_ms N     serve: reload/poll period in ms"
          " (default 200;\n"
          "                          needs --reload_from or --shard_dir)\n"
-         "  --batch_max N           serve: micro-batch up to N concurrent"
-         " requests'\n"
-         "                          beam steps per stacked dispatch (default"
-         " 0 = off;\n"
-         "                          results are byte-identical either way)\n"
-         "  --batch_linger_us N     serve: longest a parked step waits for"
-         " peers\n"
-         "                          (default 200; a lone request never"
-         " waits)\n"
          "  --precision <p>         serve / snapshot compile: row format of"
          " the\n"
          "                          published inference snapshot: f32, f16"
@@ -427,8 +417,6 @@ struct ServeFlags {
   std::string reload_from;
   std::string shard_dir;  // poll a compiled shard dir for zero-parse reloads
   int reload_every_ms = 200;
-  int batch_max = 0;  // <= 1 serves unbatched
-  int batch_linger_us = 200;
   // Empty keeps the CADRL_PRECISION (or f32) default.
   std::string precision;
   bool adaptive_admission = false;
@@ -461,10 +449,6 @@ bool ParseServeFlags(std::vector<std::string>* args, ServeFlags* flags) {
       flags->shard_dir = v;
     } else if (a == "--reload_every_ms" && (v = next_value(&i))) {
       flags->reload_every_ms = std::atoi(v);
-    } else if (a == "--batch_max" && (v = next_value(&i))) {
-      flags->batch_max = std::atoi(v);
-    } else if (a == "--batch_linger_us" && (v = next_value(&i))) {
-      flags->batch_linger_us = std::atoi(v);
     } else if (a == "--precision" && (v = next_value(&i))) {
       flags->precision = v;
     } else if (a == "--adaptive_admission") {
@@ -481,7 +465,6 @@ bool ParseServeFlags(std::vector<std::string>* args, ServeFlags* flags) {
   if (flags->requests < 1 || flags->fail_p < 0.0 || flags->fail_p > 1.0 ||
       flags->latency_p < 0.0 || flags->latency_p > 1.0 ||
       flags->latency_us < 0 || flags->reload_every_ms < 1 ||
-      flags->batch_max < 0 || flags->batch_linger_us < 0 ||
       flags->metrics_every_ms < 0) {
     std::cerr << "serve flag out of range\n";
     return false;
@@ -539,8 +522,6 @@ int Serve(const std::string& dataset_path, const std::string& model_path,
   options.threads = threads;
   options.default_timeout = std::chrono::milliseconds{flags.timeout_ms};
   options.seed = flags.seed;
-  options.batch_max = flags.batch_max;
-  options.batch_linger = std::chrono::microseconds{flags.batch_linger_us};
   options.admission.enabled = flags.adaptive_admission;
   serve::RecommendService service(model.get(), dataset, options);
   if (const Status s = service.Start(); !s.ok()) {
@@ -563,10 +544,6 @@ int Serve(const std::string& dataset_path, const std::string& model_path,
   if (!flags.shard_dir.empty()) {
     std::cout << ", polling shard dir " << flags.shard_dir << " every "
               << flags.reload_every_ms << "ms";
-  }
-  if (service.batching_enabled()) {
-    std::cout << ", micro-batching max=" << flags.batch_max << " linger="
-              << flags.batch_linger_us << "us";
   }
   if (flags.adaptive_admission) std::cout << ", adaptive admission";
   std::cout << ")...\n";
@@ -682,14 +659,6 @@ int Serve(const std::string& dataset_path, const std::string& model_path,
               << reload_failures << " failed polls; serving gen "
               << stats.shard_generation << ", " << stats.shard_count
               << " shards, " << stats.shard_mapped_bytes << " B mapped\n";
-  }
-  if (service.batching_enabled()) {
-    const serve::BatchScheduler::Stats batch = service.batch_stats();
-    std::cout << "micro-batching: " << batch.steps << " steps in "
-              << batch.flushes << " flushes (max batch "
-              << batch.max_batch_observed << ", forced "
-              << batch.forced_flushes << ", linger p95 ~"
-              << batch.linger_p95_us << "us)\n";
   }
   for (int level = 0; level < 4; ++level) {
     auto& lat = latencies[static_cast<size_t>(level)];

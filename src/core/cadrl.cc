@@ -11,7 +11,6 @@
 
 #include "autograd/ops.h"
 #include "core/reward.h"
-#include "infer/step_batcher.h"
 #include "util/elemwise.h"
 #include "util/failpoint.h"
 #include "util/io.h"
@@ -1283,18 +1282,15 @@ struct CadrlRecommender::TapeBeamDriver {
 // pointers live at once (e.g. AdvanceChildRaw reads the user, relation and
 // entity rows together). Dequantization is a pure per-row function of the
 // stored bytes, so the policy forwards stay byte-identical across thread
-// counts and batch compositions for a fixed snapshot.
+// counts for a fixed snapshot.
 struct CadrlRecommender::CompiledBeamDriver {
   using State = infer::RawPolicyState;
 
-  // Points the driver at `m` and at the micro-batcher the serving worker
-  // installed on this thread (null for direct dispatch). Called once per
-  // request: one request never switches mode mid-search.
+  // Points the driver at `m`. Called once per request.
   void Bind(const infer::CompiledModel& m) {
     sv = &m.scoring();
     pv = &m.policy();
     zeros.assign(static_cast<size_t>(sv->dim), 0.0f);
-    batcher = infer::CurrentStepBatcher();
   }
 
   // The requesting user's entity row (user_ is fixed per search).
@@ -1338,25 +1334,8 @@ struct CadrlRecommender::CompiledBeamDriver {
           action_rows.data() + static_cast<size_t>(i) * d);
     }
     logits.resize(static_cast<size_t>(n));
-    if (batcher != nullptr) {
-      // Yield the head forward to the serving layer's micro-batcher: the
-      // feature row and action rows stay owned by this driver while the
-      // step is parked, and ExecuteHead returns with `logits` holding the
-      // same bytes CategoryLogitsRaw would have written.
-      infer::CategoryFeaturesRaw(*pv, state, User(), Cat(current),
-                                 &batch_features);
-      infer::PolicyHeadStep step;
-      step.head1 = &pv->head1_c;
-      step.head2 = &pv->head2_c;
-      step.features = batch_features.data();
-      step.action_matrix = action_rows.data();
-      step.num_actions = n;
-      step.out = logits.data();
-      batcher->ExecuteHead(&step);
-    } else {
-      infer::CategoryLogitsRaw(*pv, state, User(), Cat(current),
-                               action_rows.data(), n, &scratch, logits.data());
-    }
+    infer::CategoryLogitsRaw(*pv, state, User(), Cat(current),
+                             action_rows.data(), n, &scratch, logits.data());
     probs.resize(static_cast<size_t>(n));
     elemwise::SoftmaxVec(logits.data(), probs.data(), static_cast<size_t>(n));
     const int64_t best = static_cast<int64_t>(std::distance(
@@ -1383,22 +1362,9 @@ struct CadrlRecommender::CompiledBeamDriver {
     const std::span<const float> condition_row =
         condition != kg::kInvalidCategory ? Cat(condition)
                                           : std::span<const float>();
-    if (batcher != nullptr) {
-      infer::EntityFeaturesRaw(*pv, state, Ent(entity), Rel(last_rel),
-                               condition_row, &scratch, &batch_features);
-      infer::PolicyHeadStep step;
-      step.head1 = &pv->head1_e;
-      step.head2 = &pv->head2_e;
-      step.features = batch_features.data();
-      step.action_matrix = action_rows.data();
-      step.num_actions = n;
-      step.out = logits.data();
-      batcher->ExecuteHead(&step);
-    } else {
-      infer::EntityLogitsRaw(*pv, state, Ent(entity), Rel(last_rel),
-                             condition_row, action_rows.data(), n, &scratch,
-                             logits.data());
-    }
+    infer::EntityLogitsRaw(*pv, state, Ent(entity), Rel(last_rel),
+                           condition_row, action_rows.data(), n, &scratch,
+                           logits.data());
     out->resize(static_cast<size_t>(n));
     elemwise::LogSoftmaxVec(logits.data(), out->data(),
                             static_cast<size_t>(n));
@@ -1433,13 +1399,9 @@ struct CadrlRecommender::CompiledBeamDriver {
   // per operand position so concurrent row pointers never alias.
   std::vector<float> user_slot, ent_slot, rel_slot, cat_slot;
   std::vector<float> action_rows, logits, probs;
-  // Feature row handed to a parked PolicyHeadStep; must stay untouched by
-  // other scratch users until ExecuteHead returns, hence its own buffer.
-  std::vector<float> batch_features;
   // Advance's per-parent shared halves, by parent slot.
   std::vector<infer::SharedAdvance> shared;
   std::vector<uint8_t> shared_ready;
-  infer::StepBatcher* batcher = nullptr;
   kg::EntityId user_ = kg::kInvalidEntity;
   BeamScratch<State> beam;
 };

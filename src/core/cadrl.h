@@ -211,8 +211,7 @@ class CadrlRecommender : public eval::Recommender {
   // quantization happens once per publish. Changing this does not touch the
   // currently published snapshot — call RepublishSnapshot() (or reload) to
   // re-encode. Mixed-precision hot swap is safe: in-flight requests finish
-  // on the snapshot they acquired, and the batcher groups work by snapshot
-  // arena pointers, so batches never mix row formats.
+  // on the snapshot they acquired.
   void set_snapshot_precision(infer::Precision p) { snapshot_precision_ = p; }
   infer::Precision snapshot_precision() const { return snapshot_precision_; }
 

@@ -6,7 +6,6 @@
 #include <istream>
 #include <ostream>
 
-#include "infer/step_batcher.h"
 #include "util/kernels.h"
 #include "util/logging.h"
 
@@ -255,20 +254,7 @@ void UserScoreMemo::ScoreBatch(std::span<const kg::EntityId> entities,
   }
   if (t.miss_ids.empty()) return;
   t.miss_scores.resize(t.miss_ids.size());
-  if (infer::StepBatcher* batcher = infer::CurrentStepBatcher();
-      batcher != nullptr) {
-    // Serving worker with micro-batching installed: park the miss set so
-    // concurrent requests' scoring batches flush together. Byte-identical
-    // to the direct call, so the memo cache stays mode-agnostic.
-    infer::ScoreStep step;
-    step.view = &view_;
-    step.user = user_;
-    step.entities = t.miss_ids;
-    step.out = t.miss_scores;
-    batcher->ExecuteScore(&step);
-  } else {
-    infer::ScoreUserEntities(view_, user_, t.miss_ids, t.miss_scores);
-  }
+  infer::ScoreUserEntities(view_, user_, t.miss_ids, t.miss_scores);
   for (size_t i = 0; i < t.miss_ids.size(); ++i) {
     // A batch may name one entity twice; the first copy's score is the
     // one kept, matching the map's emplace.

@@ -89,8 +89,6 @@ const float* ConcatInto(std::vector<float>* buf,
   return buf->data();
 }
 
-}  // namespace
-
 // Shared head pipeline: hid = Linear2(relu(Linear1(features))), then one
 // Gemv against the stacked action matrix — the rank-1 ag::MatMul of the
 // tape path.
@@ -106,6 +104,36 @@ void HeadLogitsRaw(const LinearView& head1, const LinearView& head2,
   LinearForwardRaw(head2, s->r1.data(), s->hid.data());
   kernels::Gemv(action_matrix, num_actions, head2.out, s->hid.data(), out);
 }
+
+// Eq 15 feature row: [user ; current_cat ; h_c], written into *features.
+void CategoryFeaturesRaw(const RawPolicyState& state,
+                         std::span<const float> user,
+                         std::span<const float> current_cat,
+                         std::vector<float>* features) {
+  ConcatInto(features,
+             {user, current_cat, std::span<const float>(state.cat_h)});
+}
+
+// Eq 16 feature row: [ent ; rel ; condition ; h_e]; an empty `condition`
+// (or conditioning disabled) uses the tape path's zero condition, built in
+// scratch->zeros so the warmed path stays allocation-free.
+void EntityFeaturesRaw(const PolicyParamsView& view,
+                       const RawPolicyState& state,
+                       std::span<const float> current_ent,
+                       std::span<const float> last_rel,
+                       std::span<const float> condition,
+                       PolicyScratch* s, std::vector<float>* features) {
+  const size_t d = static_cast<size_t>(view.dim);
+  std::span<const float> cond = condition;
+  if (!view.condition_on_category || cond.empty()) {
+    s->zeros.assign(d, 0.0f);
+    cond = std::span<const float>(s->zeros.data(), d);
+  }
+  ConcatInto(features, {current_ent, last_rel, cond,
+                        std::span<const float>(state.ent_h)});
+}
+
+}  // namespace
 
 void InitialStateRaw(const PolicyParamsView& view, std::span<const float> user,
                      std::span<const float> cat0, std::span<const float> rel0,
@@ -182,39 +210,13 @@ void AdvanceChildRaw(const PolicyParamsView& view, const SharedAdvance& shared,
   child->cat_c.assign(shared.cat_c.begin(), shared.cat_c.end());
 }
 
-void CategoryFeaturesRaw(const PolicyParamsView& view,
-                         const RawPolicyState& state,
-                         std::span<const float> user,
-                         std::span<const float> current_cat,
-                         std::vector<float>* features) {
-  (void)view;
-  ConcatInto(features,
-             {user, current_cat, std::span<const float>(state.cat_h)});
-}
-
-void EntityFeaturesRaw(const PolicyParamsView& view,
-                       const RawPolicyState& state,
-                       std::span<const float> current_ent,
-                       std::span<const float> last_rel,
-                       std::span<const float> condition,
-                       PolicyScratch* s, std::vector<float>* features) {
-  const size_t d = static_cast<size_t>(view.dim);
-  std::span<const float> cond = condition;
-  if (!view.condition_on_category || cond.empty()) {
-    s->zeros.assign(d, 0.0f);
-    cond = std::span<const float>(s->zeros.data(), d);
-  }
-  ConcatInto(features, {current_ent, last_rel, cond,
-                        std::span<const float>(state.ent_h)});
-}
-
 void CategoryLogitsRaw(const PolicyParamsView& view,
                        const RawPolicyState& state,
                        std::span<const float> user,
                        std::span<const float> current_cat,
                        const float* action_matrix, int num_actions,
                        PolicyScratch* s, float* out) {
-  CategoryFeaturesRaw(view, state, user, current_cat, &s->features);
+  CategoryFeaturesRaw(state, user, current_cat, &s->features);
   HeadLogitsRaw(view.head1_c, view.head2_c, s->features.data(), action_matrix,
                 num_actions, s, out);
 }
@@ -293,50 +295,6 @@ void EntityProbsBatchRaw(const PolicyParamsView& view,
   for (int row = 0; row < num_cond; ++row) {
     float* p = probs->data() + static_cast<size_t>(row) * num_actions;
     elemwise::SoftmaxVec(p, p, num_actions);
-  }
-}
-
-void HeadLogitsBatchRaw(const LinearView& head1, const LinearView& head2,
-                        std::span<const HeadBatchRow> rows) {
-  const int n = static_cast<int>(rows.size());
-  if (n == 0) return;
-  const int in1 = head1.in;
-  const int h = head1.out;
-  const int out2 = head2.out;
-  CADRL_CHECK_EQ(head2.in, h);
-
-  // Stack the requests' feature rows, then run each Linear as one GEMM.
-  // The bias add and relu mirror the unbatched LinearForwardRaw/ReluVec
-  // loops element-for-element; see EntityProbsBatchRaw for the same
-  // construction within a single request.
-  static thread_local std::vector<float> features, h1, h2;
-  features.resize(static_cast<size_t>(n) * in1);
-  for (int row = 0; row < n; ++row) {
-    std::copy(rows[row].features, rows[row].features + in1,
-              features.data() + static_cast<size_t>(row) * in1);
-  }
-  h1.assign(static_cast<size_t>(n) * h, 0.0f);
-  kernels::GemmNTAcc(features.data(), head1.weight, h1.data(), n, h, in1);
-  const float* b1 = head1.bias;
-  for (int row = 0; row < n; ++row) {
-    float* out = h1.data() + static_cast<size_t>(row) * h;
-    for (int i = 0; i < h; ++i) {
-      out[i] += b1[i];
-      out[i] = std::max(0.0f, out[i]);  // mirror ag::Relu
-    }
-  }
-  h2.assign(static_cast<size_t>(n) * out2, 0.0f);
-  kernels::GemmNTAcc(h1.data(), head2.weight, h2.data(), n, out2, h);
-  const float* b2 = head2.bias;
-  for (int row = 0; row < n; ++row) {
-    float* out = h2.data() + static_cast<size_t>(row) * out2;
-    for (int i = 0; i < out2; ++i) out[i] += b2[i];
-  }
-  // Each request keeps its own action matrix (its beam element's candidate
-  // set), so the final product stays the per-request Gemv of HeadLogitsRaw.
-  for (int row = 0; row < n; ++row) {
-    kernels::Gemv(rows[row].action_matrix, rows[row].num_actions, out2,
-                  h2.data() + static_cast<size_t>(row) * out2, rows[row].out);
   }
 }
 

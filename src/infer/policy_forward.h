@@ -125,57 +125,6 @@ void CategoryLogitsRaw(const PolicyParamsView& view,
                        const float* action_matrix, int num_actions,
                        PolicyScratch* scratch, float* out);
 
-// Feature-row builders of the two heads, split out so a micro-batching
-// scheduler can assemble a request's row up front, park it, and have the
-// flush run the head stack over many requests' rows at once
-// (HeadLogitsBatchRaw). CategoryLogitsRaw / EntityLogitsRaw are these
-// builders followed by HeadLogitsRaw, so both dispatch modes share one
-// definition of the feature layout.
-//
-// Eq 15 row: [user ; current_cat ; h_c], written into *features.
-void CategoryFeaturesRaw(const PolicyParamsView& view,
-                         const RawPolicyState& state,
-                         std::span<const float> user,
-                         std::span<const float> current_cat,
-                         std::vector<float>* features);
-
-// Eq 16 row: [ent ; rel ; condition ; h_e]; an empty `condition` (or
-// conditioning disabled) uses the tape path's zero condition (built in
-// scratch->zeros, keeping the warmed path allocation-free).
-void EntityFeaturesRaw(const PolicyParamsView& view,
-                       const RawPolicyState& state,
-                       std::span<const float> current_ent,
-                       std::span<const float> last_rel,
-                       std::span<const float> condition,
-                       PolicyScratch* scratch, std::vector<float>* features);
-
-// Shared head pipeline over one pre-built feature row:
-// hid = Linear2(relu(Linear1(features))), then one Gemv against the
-// stacked action matrix. Bit-identical to the tape composition.
-void HeadLogitsRaw(const LinearView& head1, const LinearView& head2,
-                   const float* features, const float* action_matrix,
-                   int num_actions, PolicyScratch* scratch, float* out);
-
-// One row of a cross-request head flush: this request's feature row and
-// action matrix, and where its logits go.
-struct HeadBatchRow {
-  const float* features = nullptr;       // length head1.in
-  const float* action_matrix = nullptr;  // (num_actions x head2.out)
-  int num_actions = 0;
-  float* out = nullptr;  // logits, length num_actions
-};
-
-// Runs the shared head stack over rows.size() requests' feature rows as
-// stacked GEMMs (one GemmNTAcc per Linear instead of a Gemv per request),
-// then each row's own action-matrix product. Because every kernel
-// reduction follows the fixed 8-lane order of util/kernels.h, row i's
-// output is byte-identical to HeadLogitsRaw over that row alone — the
-// contract that makes cross-request micro-batching invisible to callers
-// (locked by tests/batch_scheduler_test.cc). All rows must target the same
-// head pair (the caller groups by snapshot + head).
-void HeadLogitsBatchRaw(const LinearView& head1, const LinearView& head2,
-                        std::span<const HeadBatchRow> rows);
-
 // Eq 16 (+ category conditioning): logits of `num_actions` entity actions
 // against a pre-stacked (num_actions x 2d) action matrix. `condition` may
 // be empty (or conditioning disabled), in which case the zero condition of

@@ -48,16 +48,6 @@ Status ServeOptions::Validate() const {
     return Status::InvalidArgument("backoff_base must be >= 0");
   }
   if (top_k < 1) return Status::InvalidArgument("top_k must be >= 1");
-  if (batch_max < 0) {
-    return Status::InvalidArgument("batch_max must be >= 0");
-  }
-  if (batch_linger < std::chrono::microseconds::zero()) {
-    return Status::InvalidArgument("batch_linger must be >= 0");
-  }
-  if (manual_pump && batch_max > 1) {
-    return Status::InvalidArgument(
-        "manual_pump is single-threaded; batching has no peers to park for");
-  }
   return admission.Validate();
 }
 
@@ -107,14 +97,6 @@ RecommendService::RecommendService(eval::Recommender* model,
       std::chrono::duration_cast<std::chrono::microseconds>(
           options_.default_timeout),
       time_);
-
-  if (options_.batch_max > 1) {
-    BatchScheduler::Options batch_options;
-    batch_options.max_batch = options_.batch_max;
-    batch_options.max_linger = options_.batch_linger;
-    batch_options.time_source = time_;
-    batcher_ = std::make_unique<BatchScheduler>(batch_options);
-  }
 
   last_snapshot_at_ = time_->Now();
 }
@@ -170,13 +152,14 @@ void RecommendService::Stop() {
   }
 }
 
-RequestContext RecommendService::MakeContext(const ServeRequest& req) const {
+RequestContext RecommendService::MakeContext(
+    const ServeRequest& req, TimeSource::Clock::time_point accepted_at) const {
   if (req.timeout.count() < 0) return RequestContext();  // unbounded
   const auto timeout = req.timeout.count() == 0
                            ? std::chrono::duration_cast<std::chrono::microseconds>(
                                  options_.default_timeout)
                            : req.timeout;
-  return RequestContext::WithTimeout(timeout, time_);
+  return RequestContext::WithDeadline(accepted_at + timeout, time_);
 }
 
 std::future<ServeResponse> RecommendService::Submit(ServeRequest req) {
@@ -190,15 +173,17 @@ std::future<ServeResponse> RecommendService::Submit(ServeRequest req) {
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (req.id == 0) req.id = next_id_++;
-    ctx = MakeContext(req);
-    // Admission gates, cheapest answer first: a request whose remaining
-    // budget cannot cover even the ladder floor's observed p95 is answered
-    // from the fallback right here; then the AIMD concurrency limit; the
-    // fixed bounded queue stays as the backstop.
+    ctx = MakeContext(req, accepted_at);
+    // Admission gates, cheapest answer first: a request whose budget cannot
+    // cover even the ladder floor's observed p95 is answered from the
+    // fallback right here; then the AIMD concurrency limit; the fixed
+    // bounded queue stays as the backstop. The budget is measured from the
+    // one `accepted_at` reading, so the verdict depends only on the
+    // request's timeout and the floor p95, not on how long this lock took.
     if (!started_ || stopping_) {
       admission = Status::FailedPrecondition("service not running");
     } else if (ctx.has_deadline() &&
-               admission_->ShouldShedEarly(ctx.remaining())) {
+               admission_->ShouldShedEarly(ctx.deadline() - accepted_at)) {
       admission = Status::ResourceExhausted(
           "admission: remaining budget below ladder-floor p95");
       CountShed(&Stats::early_sheds);
@@ -441,18 +426,7 @@ Status RecommendService::TryPrimary(const ServeRequest& req,
     status = ctx.Check();
     if (status.ok()) {
       resp->recs.clear();
-      if (batcher_ != nullptr) {
-        // Primary stage only: the scoped install scopes micro-batching to
-        // the full-CADRL model call, so the degradation ladder (cache /
-        // popularity) and the inline shed path never park in the batcher.
-        infer::ScopedStepBatcher scope(
-            batcher_.get(), ctx.has_deadline()
-                                ? ctx.deadline()
-                                : RequestContext::Clock::time_point::max());
-        status = model_->Recommend(req.user, req.k, ctx, &resp->recs);
-      } else {
-        status = model_->Recommend(req.user, req.k, ctx, &resp->recs);
-      }
+      status = model_->Recommend(req.user, req.k, ctx, &resp->recs);
     }
     if (status.ok() && resp->recs.empty()) {
       status = Status::NotFound("model returned no candidates");
@@ -545,11 +519,6 @@ RecommendService::Stats RecommendService::stats() const {
     std::lock_guard<std::mutex> lock(stats_mu_);
     out = stats_;
   }
-  if (batcher_ != nullptr) {
-    const BatchScheduler::Stats batch = batcher_->stats();
-    out.batch_flushes = batch.flushes;
-    out.batched_steps = batch.steps;
-  }
   const AdmissionController::Snapshot adm = admission_->snapshot();
   out.admission_limit = adm.limit;
   out.admission_inflight = adm.inflight;
@@ -563,11 +532,6 @@ RecommendService::Stats RecommendService::stats() const {
   out.shard_mapped_bytes = static_cast<int64_t>(shards.mapped_bytes);
   out.shard_generation = static_cast<int64_t>(shards.generation);
   return out;
-}
-
-BatchScheduler::Stats RecommendService::batch_stats() const {
-  if (batcher_ == nullptr) return BatchScheduler::Stats();
-  return batcher_->stats();
 }
 
 namespace {
@@ -766,18 +730,6 @@ std::string RecommendService::MetricsText() const {
       << s.arena_store_scale_bytes << "\n"
       << "cadrl_serve_arena_bytes{section=\"policy_params\"} "
       << s.arena_policy_param_bytes << "\n";
-
-  counter("cadrl_serve_batch_flushes_total", "Stacked micro-batch dispatches.",
-          s.batch_flushes);
-  counter("cadrl_serve_batch_steps_total",
-          "Beam steps routed through the batcher.", s.batched_steps);
-  if (batcher_ != nullptr) {
-    out << "# HELP cadrl_serve_batch_linger_p95_us p95 of park -> scatter "
-           "waits.\n"
-        << "# TYPE cadrl_serve_batch_linger_p95_us gauge\n"
-        << "cadrl_serve_batch_linger_p95_us "
-        << batcher_->stats().linger_p95_us << "\n";
-  }
   return out.str();
 }
 

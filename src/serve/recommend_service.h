@@ -17,7 +17,6 @@
 #include "data/dataset.h"
 #include "eval/recommender.h"
 #include "serve/admission_controller.h"
-#include "serve/batch_scheduler.h"
 #include "serve/circuit_breaker.h"
 #include "serve/time_source.h"
 #include "util/deadline.h"
@@ -95,18 +94,8 @@ struct ServeOptions {
   int top_k = 10;
   // Seed of the service RNG; request streams fork off it by request id.
   uint64_t seed = 11;
-  // Cross-request micro-batching of compiled-inference beam steps
-  // (DESIGN.md §13): <= 1 dispatches every request unbatched; > 1 installs
-  // a BatchScheduler that coalesces up to `batch_max` concurrent requests'
-  // steps per stacked dispatch. Only the full-CADRL primary stage batches —
-  // the degradation ladder always bypasses the batcher.
-  int batch_max = 0;
-  // Longest a parked step may wait for peers; the scheduler flushes sooner
-  // whenever every in-flight request is parked, so a lone request never
-  // pays this (and a request's own deadline always overrides it).
-  std::chrono::microseconds batch_linger{200};
   // Clock behind every timed decision the service makes — request
-  // deadlines, queue waits, retry backoff, breaker cooldowns, batch linger
+  // deadlines, queue waits, retry backoff, breaker cooldowns
   // (DESIGN.md §15). Null = the monotonic clock; tests and the overload
   // harness inject a VirtualTimeSource. Non-owning, must outlive the
   // service; non-const because backoff *sleeps* on it (a virtual source
@@ -209,8 +198,6 @@ class RecommendService {
     int64_t shard_reloads = 0;
     int64_t shards_remapped = 0;
     int64_t shards_reused = 0;
-    int64_t batch_flushes = 0;       // stacked micro-batch dispatches
-    int64_t batched_steps = 0;       // beam steps routed through the batcher
     // AIMD state sampled at stats() time.
     double admission_limit = 0.0;
     int64_t admission_inflight = 0;
@@ -231,13 +218,8 @@ class RecommendService {
   // Prometheus-style text exposition of the whole serving surface: request
   // counters and the shed breakdown, breaker states, the AIMD limit,
   // per-stage latency quantiles + cumulative bucket counts, snapshot
-  // generation/age, serving-arena bytes, and micro-batching stats.
+  // generation/age and serving-arena bytes.
   std::string MetricsText() const;
-
-  bool batching_enabled() const { return batcher_ != nullptr; }
-  // Full scheduler stats (batch-size histogram, linger p95, ...);
-  // default-constructed when batching is disabled.
-  BatchScheduler::Stats batch_stats() const;
 
   const CircuitBreaker& primary_breaker() const { return *primary_breaker_; }
   const CircuitBreaker& cache_breaker() const { return *cache_breaker_; }
@@ -295,8 +277,10 @@ class RecommendService {
 
  private:
 
-  // Builds `ctx` for a request (deadline starts at admission time).
-  RequestContext MakeContext(const ServeRequest& req) const;
+  // Builds `ctx` for a request: its deadline is `accepted_at` plus the
+  // request's timeout, so it costs no further clock read.
+  RequestContext MakeContext(const ServeRequest& req,
+                             TimeSource::Clock::time_point accepted_at) const;
 
   // Runs one request to its terminal answer. A non-OK `admission` skips
   // the primary stage (load shed / service stopped) and is surfaced as the
@@ -339,10 +323,6 @@ class RecommendService {
   std::unique_ptr<CircuitBreaker> primary_breaker_;
   std::unique_ptr<CircuitBreaker> cache_breaker_;
   std::unique_ptr<AdmissionController> admission_;
-  // Present iff options_.batch_max > 1. Workers install it around the
-  // primary-stage model call only; Stop() joins the workers before members
-  // destruct, so no step can outlive the scheduler.
-  std::unique_ptr<BatchScheduler> batcher_;
 
   mutable std::mutex cache_mu_;
   std::unordered_map<kg::EntityId, std::vector<eval::Recommendation>>

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <iostream>
 
-#include "util/logging.h"
 
 // Both backends implement the identical summation order documented in the
 // header; the blocked backend only adds `#pragma omp simd` (a no-op unless
@@ -62,8 +61,6 @@ std::atomic<Backend>& BackendRef() {
   static std::atomic<Backend> backend{BackendFromEnv()};
   return backend;
 }
-
-std::atomic<int> g_backend_pins{0};
 
 // Dequantized element value shared by every Q8 kernel and DequantizeRowQ8;
 // one expression so fused and dequantize-first paths are bit-identical.
@@ -338,22 +335,7 @@ Backend ActiveBackend() {
 }
 
 void SetBackend(Backend backend) {
-  CADRL_CHECK_EQ(ActiveBackendPins(), 0)
-      << "SetBackend while a kernel-dispatch scope (BackendPin) is live: "
-         "an in-flight batched request could observe both backends";
   BackendRef().store(backend, std::memory_order_release);
-}
-
-BackendPin::BackendPin() {
-  g_backend_pins.fetch_add(1, std::memory_order_acq_rel);
-}
-
-BackendPin::~BackendPin() {
-  g_backend_pins.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-int ActiveBackendPins() {
-  return g_backend_pins.load(std::memory_order_acquire);
 }
 
 const char* BackendName(Backend backend) {

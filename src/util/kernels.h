@@ -40,25 +40,8 @@ enum class Backend {
 Backend ActiveBackend();
 
 // Overrides the active backend (tests and benchmarks only). The store is
-// release-ordered against the acquire load in ActiveBackend, and the call
-// CHECK-fails while any BackendPin is alive: flipping the backend under an
-// in-flight batched-request scope would let one logical dispatch observe
-// both backends.
+// release-ordered against the acquire load in ActiveBackend.
 void SetBackend(Backend backend);
-
-// RAII marker for a region whose kernel dispatches must all observe one
-// backend (serve workers hold one for the lifetime of each batched-request
-// scope). SetBackend refuses to run while any pin is held.
-class BackendPin {
- public:
-  BackendPin();
-  ~BackendPin();
-  BackendPin(const BackendPin&) = delete;
-  BackendPin& operator=(const BackendPin&) = delete;
-};
-
-// Number of live BackendPins process-wide (diagnostics/tests).
-int ActiveBackendPins();
 
 const char* BackendName(Backend backend);
 

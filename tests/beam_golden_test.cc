@@ -151,9 +151,9 @@ constexpr Answers kNoSharedHistory = {0xbf7f4ff89ca38ee6ULL,
 constexpr Answers kNarrowBeam = {0x22b70e7c6cca2bd5ULL,
                                  0x2b05741fcbefcc4fULL};
 
-// The default shape (L = 6) at every snapshot precision, and batched
+// The default shape (L = 6) at every snapshot precision, and four-worker
 // serving over it.
-TEST_F(BeamGoldenTest, DefaultShapeAtEveryPrecisionAndBatched) {
+TEST_F(BeamGoldenTest, DefaultShapeAtEveryPrecisionAndServed) {
   const auto model = Fit(BaseOptions());
   ExpectGolden(*model, kDefault);
 
@@ -169,16 +169,14 @@ TEST_F(BeamGoldenTest, DefaultShapeAtEveryPrecisionAndBatched) {
   EXPECT_EQ(int8.recommend, kDefaultInt8.recommend);
   EXPECT_EQ(int8.find_paths, kDefaultInt8.find_paths);
 
-  // Micro-batched serving (four workers stacking up to four requests' steps)
-  // must reproduce the direct f32 answers.
+  // Serving from four concurrent workers must reproduce the direct f32
+  // answers.
   model->set_snapshot_precision(infer::Precision::kF32);
   model->RepublishSnapshot();
   serve::ServeOptions options;
   options.threads = 4;
   options.queue_capacity = 256;
   options.top_k = 10;
-  options.batch_max = 4;
-  options.batch_linger = std::chrono::microseconds{200};
   serve::RecommendService service(model.get(), *dataset_, options);
   ASSERT_TRUE(service.Start().ok());
   std::vector<std::future<serve::ServeResponse>> futures;
@@ -189,17 +187,16 @@ TEST_F(BeamGoldenTest, DefaultShapeAtEveryPrecisionAndBatched) {
     req.timeout = std::chrono::microseconds{-1};
     futures.push_back(service.Submit(req));
   }
-  Digest batched;
+  Digest served;
   for (size_t i = 0; i < futures.size(); ++i) {
     const serve::ServeResponse resp = futures[i].get();
     ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
     ASSERT_EQ(resp.level, serve::DegradationLevel::kFull);
-    batched.Add(static_cast<uint64_t>(dataset_->users[i]));
-    batched.AddRecs(resp.recs);
+    served.Add(static_cast<uint64_t>(dataset_->users[i]));
+    served.AddRecs(resp.recs);
   }
   service.Stop();
-  EXPECT_GT(service.stats().batched_steps, 0);
-  EXPECT_EQ(batched.value(), kDefault.recommend);
+  EXPECT_EQ(served.value(), kDefault.recommend);
 }
 
 // L = 1: the search ends after the first expansion, so no state is ever

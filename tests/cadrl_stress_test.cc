@@ -175,66 +175,6 @@ TEST_F(CadrlStressTest, RecommendServiceMatchesDirectInference) {
   EXPECT_EQ(stats.load_shed, 0);
 }
 
-// Same contract with cross-request micro-batching on: eight clients keep
-// the staging buffer hot so parked wake-ups, timeout-claimed flushes and
-// result scatter all race under the TSan label — and every answer must
-// still be byte-identical to the direct baseline.
-TEST_F(CadrlStressTest, BatchedRecommendServiceMatchesDirectInference) {
-  serve::ServeOptions options;
-  options.threads = 4;
-  // Every client submits its whole request set before collecting futures,
-  // so the queue must hold the full burst (8 clients x 2 rounds x users).
-  options.queue_capacity = 1024;
-  options.top_k = 10;
-  options.batch_max = 4;
-  options.batch_linger = std::chrono::microseconds{150};
-  serve::RecommendService service(model_, *dataset_, options);
-  ASSERT_TRUE(service.Start().ok());
-
-  std::vector<std::vector<eval::Recommendation>> baseline;
-  baseline.reserve(dataset_->users.size());
-  for (kg::EntityId user : dataset_->users) {
-    baseline.push_back(model_->Recommend(user, 10));
-  }
-
-  constexpr int kClients = 8;
-  constexpr int kRounds = 2;
-  std::vector<std::thread> clients;
-  clients.reserve(kClients);
-  for (int t = 0; t < kClients; ++t) {
-    clients.emplace_back([&, t] {
-      std::vector<std::future<serve::ServeResponse>> futures;
-      std::vector<size_t> indices;
-      for (int round = 0; round < kRounds; ++round) {
-        for (size_t u = 0; u < dataset_->users.size(); ++u) {
-          const size_t idx =
-              (u + static_cast<size_t>(t) * 7) % dataset_->users.size();
-          serve::ServeRequest req;
-          req.user = dataset_->users[idx];
-          req.k = 10;
-          req.timeout = std::chrono::microseconds{-1};  // no deadline
-          futures.push_back(service.Submit(req));
-          indices.push_back(idx);
-        }
-      }
-      for (size_t i = 0; i < futures.size(); ++i) {
-        const serve::ServeResponse resp = futures[i].get();
-        ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
-        EXPECT_EQ(resp.level, serve::DegradationLevel::kFull);
-        ExpectSameRecommendations(baseline[indices[i]], resp.recs);
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  service.Stop();
-
-  const serve::RecommendService::Stats stats = service.stats();
-  EXPECT_EQ(stats.full, stats.requests);
-  EXPECT_EQ(stats.load_shed, 0);
-  EXPECT_GT(stats.batched_steps, 0);
-  EXPECT_GT(stats.batch_flushes, 0);
-}
-
 TEST_F(CadrlStressTest, ParallelEvaluationMatchesSequential) {
   const eval::EvalResult sequential =
       eval::EvaluateRecommender(model_, *dataset_, 10, 0, /*threads=*/1);

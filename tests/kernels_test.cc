@@ -698,21 +698,6 @@ TEST(KernelsTest, QuantizedScalarVsBlockedBitIdentical) {
   ExpectSameBits(dist_s, dist_b, "NegSqDistRowsQ8 scalar vs blocked");
 }
 
-TEST(KernelsDeathTest, SetBackendRefusesWhileBackendPinned) {
-  EXPECT_EQ(ActiveBackendPins(), 0);
-  {
-    BackendPin pin;
-    EXPECT_EQ(ActiveBackendPins(), 1);
-    EXPECT_DEATH(SetBackend(Backend::kScalar), "BackendPin");
-  }
-  EXPECT_EQ(ActiveBackendPins(), 0);
-  // With the pin released, switching works again.
-  const Backend saved = ActiveBackend();
-  SetBackend(Backend::kScalar);
-  EXPECT_EQ(ActiveBackend(), Backend::kScalar);
-  SetBackend(saved);
-}
-
 }  // namespace
 }  // namespace kernels
 }  // namespace cadrl

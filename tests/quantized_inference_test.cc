@@ -19,9 +19,8 @@
 //      f32 -> int8 -> f32 round trip restores the exact f32 bytes, and
 //      checkpoint reload preserves the configured precision.
 //
-// The batching/threading faces of leg 2 live in batch_scheduler_test.cc
-// and thread_invariance_test.cc; the per-kernel bit-identity contract
-// lives in kernels_test.cc.
+// The threading face of leg 2 lives in thread_invariance_test.cc; the
+// per-kernel bit-identity contract lives in kernels_test.cc.
 
 #include <cmath>
 #include <cstdint>

@@ -90,12 +90,9 @@ core::CadrlRecommender* ServeChaosTest::model_ = nullptr;
 
 // --- 1. Liveness under chaos -------------------------------------------
 
-// Shared body: `batch_max > 1` additionally routes the primary stage
-// through the micro-batch scheduler, so flush leaders execute other
-// requests' parked steps while faults and latency injection fire — the
-// liveness contract (resolve within deadline + grace) must hold anyway.
-void RunFaultLatencyLiveness(core::CadrlRecommender* model,
-                             const data::Dataset& dataset, int batch_max) {
+TEST_F(ServeChaosTest, EveryRequestResolvesUnderFaultsAndLatency) {
+  core::CadrlRecommender* model = model_;
+  const data::Dataset& dataset = *dataset_;
   // 10% injected faults on both inference failpoints plus 30% latency
   // injection on scoring — the ISSUE's acceptance workload.
   Failpoints::Instance().ArmWithProbability("cadrl/score", 0.1, /*seed=*/17);
@@ -112,8 +109,6 @@ void RunFaultLatencyLiveness(core::CadrlRecommender* model,
   options.default_timeout = std::chrono::milliseconds{500};
   options.breaker_failure_threshold = 4;
   options.breaker_cooldown = std::chrono::milliseconds{20};
-  options.batch_max = batch_max;
-  options.batch_linger = std::chrono::microseconds{100};
   RecommendService service(model, dataset, options);
   ASSERT_TRUE(service.Start().ok());
 
@@ -174,19 +169,6 @@ void RunFaultLatencyLiveness(core::CadrlRecommender* model,
   EXPECT_EQ(stats.requests, kClients * kRequestsPerClient);
   EXPECT_EQ(stats.full + stats.cached + stats.popularity,
             stats.requests);  // nobody failed
-  if (batch_max > 1) {
-    // The chaos must actually have exercised the batcher, not bypassed it.
-    EXPECT_GT(stats.batched_steps, 0);
-    EXPECT_GT(stats.batch_flushes, 0);
-  }
-}
-
-TEST_F(ServeChaosTest, EveryRequestResolvesUnderFaultsAndLatency) {
-  RunFaultLatencyLiveness(model_, *dataset_, /*batch_max=*/0);
-}
-
-TEST_F(ServeChaosTest, EveryRequestResolvesUnderFaultsAndLatencyBatched) {
-  RunFaultLatencyLiveness(model_, *dataset_, /*batch_max=*/4);
 }
 
 // --- 2. Byte-deterministic degradation decisions -----------------------
@@ -209,14 +191,9 @@ struct DecisionKey {
 
 // One full chaos run: warm the cache fault-free, then arm probabilistic
 // faults on the primary and cache stages and replay the same request ids
-// from 4 client threads. Returns id -> decision. `batch_max > 1` routes the
-// primary stage through the micro-batch scheduler; because the failpoints
-// fire on the request's own thread (before any step parks) and the stacked
-// dispatch is byte-identical per row, the decision map must not depend on
-// batching at all.
+// from 4 client threads. Returns id -> decision.
 std::map<uint64_t, DecisionKey> RunDeterministicChaos(
-    core::CadrlRecommender* model, const data::Dataset& dataset,
-    int batch_max = 0) {
+    core::CadrlRecommender* model, const data::Dataset& dataset) {
   Failpoints::Instance().DisarmAll();
 
   ServeOptions options;
@@ -229,8 +206,6 @@ std::map<uint64_t, DecisionKey> RunDeterministicChaos(
                                           // ordering effects
   options.seed = 11;
   options.top_k = 5;
-  options.batch_max = batch_max;
-  options.batch_linger = std::chrono::microseconds{100};
   RecommendService service(model, dataset, options);
   EXPECT_TRUE(service.Start().ok());
 
@@ -308,30 +283,6 @@ TEST_F(ServeChaosTest, DegradationDecisionsAreByteDeterministic) {
   EXPECT_GT(degraded, 0);
 }
 
-// The strongest form of the batching determinism contract: two batched
-// chaos runs agree with each other AND with the unbatched run, request by
-// request — level, status codes, attempt counts, items, scores. Any leak
-// of flush composition into decisions or bytes shows up here.
-TEST_F(ServeChaosTest, BatchedDegradationDecisionsMatchUnbatched) {
-  const auto unbatched = RunDeterministicChaos(model_, *dataset_);
-  const auto batched_a =
-      RunDeterministicChaos(model_, *dataset_, /*batch_max=*/4);
-  const auto batched_b =
-      RunDeterministicChaos(model_, *dataset_, /*batch_max=*/4);
-  ASSERT_EQ(unbatched.size(), batched_a.size());
-  ASSERT_EQ(unbatched.size(), batched_b.size());
-  for (const auto& [id, key] : unbatched) {
-    const auto a = batched_a.find(id);
-    const auto b = batched_b.find(id);
-    ASSERT_NE(a, batched_a.end()) << "request id " << id << " missing";
-    ASSERT_NE(b, batched_b.end()) << "request id " << id << " missing";
-    EXPECT_TRUE(key == a->second)
-        << "batched decision differs from unbatched for request id " << id;
-    EXPECT_TRUE(a->second == b->second)
-        << "batched runs disagree for request id " << id;
-  }
-}
-
 // --- 3. Load shedding under a slow dependency --------------------------
 
 TEST_F(ServeChaosTest, BurstAgainstSlowModelShedsButAnswersEverything) {
@@ -381,13 +332,10 @@ TEST_F(ServeChaosTest, BurstAgainstSlowModelShedsButAnswersEverything) {
 // DESIGN.md §12 acceptance: ReloadFromCheckpoint swaps the compiled
 // inference snapshot while clients hammer the service, and no request ever
 // fails or observes a torn model — every answer is byte-identical to one of
-// the two checkpoints, never a mixture. With `batch_max > 1` this also
-// locks in the scheduler's snapshot-epoch rule (DESIGN.md §13): flush
-// groups are keyed by the parked steps' snapshot arena pointers, so a
-// stacked dispatch can never mix steps from checkpoints A and B — a torn
-// fingerprint here is exactly what a cross-epoch flush would produce.
-void RunSnapshotSwapUnderLoad(core::CadrlRecommender* base_model,
-                              const data::Dataset& dataset, int batch_max) {
+// the two checkpoints, never a mixture.
+TEST_F(ServeChaosTest, SnapshotSwapUnderLoad) {
+  core::CadrlRecommender* base_model = model_;
+  const data::Dataset& dataset = *dataset_;
   // Two fully trained models with identical shapes but different weights,
   // checkpointed to disk. Model `serving` starts on A and is swapped
   // between A and B while requests are in flight.
@@ -396,9 +344,8 @@ void RunSnapshotSwapUnderLoad(core::CadrlRecommender* base_model,
   core::CadrlRecommender model_b(opts_b);
   ASSERT_TRUE(model_b.Fit(dataset).ok());
 
-  const std::string suffix = std::to_string(batch_max) + ".bin";
-  const std::string path_a = ::testing::TempDir() + "/chaos_swap_a" + suffix;
-  const std::string path_b = ::testing::TempDir() + "/chaos_swap_b" + suffix;
+  const std::string path_a = ::testing::TempDir() + "/chaos_swap_a.bin";
+  const std::string path_b = ::testing::TempDir() + "/chaos_swap_b.bin";
   ASSERT_TRUE(base_model->SaveModel(path_a).ok());
   ASSERT_TRUE(model_b.SaveModel(path_b).ok());
 
@@ -435,8 +382,6 @@ void RunSnapshotSwapUnderLoad(core::CadrlRecommender* base_model,
   options.max_attempts = 1;
   options.breaker_failure_threshold = 0;
   options.top_k = kTopK;
-  options.batch_max = batch_max;
-  options.batch_linger = std::chrono::microseconds{100};
   RecommendService service(&serving, dataset, options);
   ASSERT_TRUE(service.Start().ok());
 
@@ -498,19 +443,8 @@ void RunSnapshotSwapUnderLoad(core::CadrlRecommender* base_model,
 
   EXPECT_EQ(from_a + from_b, kClients * kRequestsPerClient);
   EXPECT_GT(service.stats().reloads, 0) << "the swap loop never swapped";
-  if (batch_max > 1) {
-    EXPECT_GT(service.stats().batched_steps, 0);
-  }
   std::remove(path_a.c_str());
   std::remove(path_b.c_str());
-}
-
-TEST_F(ServeChaosTest, SnapshotSwapUnderLoad) {
-  RunSnapshotSwapUnderLoad(model_, *dataset_, /*batch_max=*/0);
-}
-
-TEST_F(ServeChaosTest, SnapshotSwapUnderLoadBatched) {
-  RunSnapshotSwapUnderLoad(model_, *dataset_, /*batch_max=*/4);
 }
 
 // --- 5. Shard-dir hot-swap under concurrent load ------------------------
@@ -523,17 +457,16 @@ TEST_F(ServeChaosTest, SnapshotSwapUnderLoadBatched) {
 // never a mixture — which exercises the whole epoch chain: atomic manifest
 // cutover, per-request snapshot pinning, mapping reuse across delta
 // reloads, and unlink-safe old mappings kept alive by in-flight requests.
-void RunShardSwapUnderLoad(core::CadrlRecommender* base_model,
-                           const data::Dataset& dataset, int batch_max) {
+TEST_F(ServeChaosTest, ShardSwapUnderLoad) {
+  core::CadrlRecommender* base_model = model_;
+  const data::Dataset& dataset = *dataset_;
   core::CadrlOptions opts_b = ChaosModelOptions();
   opts_b.seed = 131;
   core::CadrlRecommender model_b(opts_b);
   ASSERT_TRUE(model_b.Fit(dataset).ok());
 
-  const std::string suffix = std::to_string(batch_max);
-  const std::string path_a =
-      ::testing::TempDir() + "/chaos_shard_a" + suffix + ".bin";
-  const std::string dir = ::testing::TempDir() + "/chaos_shard_dir" + suffix;
+  const std::string path_a = ::testing::TempDir() + "/chaos_shard_a.bin";
+  const std::string dir = ::testing::TempDir() + "/chaos_shard_dir";
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
   ASSERT_TRUE(base_model->SaveModel(path_a).ok());
@@ -581,8 +514,6 @@ void RunShardSwapUnderLoad(core::CadrlRecommender* base_model,
   options.max_attempts = 1;
   options.breaker_failure_threshold = 0;
   options.top_k = kTopK;
-  options.batch_max = batch_max;
-  options.batch_linger = std::chrono::microseconds{100};
   RecommendService service(&serving, dataset, options);
   ASSERT_TRUE(service.Start().ok());
   ASSERT_TRUE(service.ReloadFromShardDir(dir).ok());
@@ -644,19 +575,8 @@ void RunShardSwapUnderLoad(core::CadrlRecommender* base_model,
   EXPECT_GT(stats.shard_reloads, 0) << "the swap loop never republished";
   EXPECT_GT(stats.shards_remapped, 0);
   EXPECT_GT(stats.shard_count, 0);
-  if (batch_max > 1) {
-    EXPECT_GT(stats.batched_steps, 0);
-  }
   std::remove(path_a.c_str());
   std::filesystem::remove_all(dir, ec);
-}
-
-TEST_F(ServeChaosTest, ShardSwapUnderLoad) {
-  RunShardSwapUnderLoad(model_, *dataset_, /*batch_max=*/0);
-}
-
-TEST_F(ServeChaosTest, ShardSwapUnderLoadBatched) {
-  RunShardSwapUnderLoad(model_, *dataset_, /*batch_max=*/4);
 }
 
 // --- 5. Breaker transitions match the golden trace ----------------------

@@ -529,9 +529,7 @@ class GatedRecommender : public eval::Recommender {
 
 // Deterministic shed path: one worker held mid-request, a 1-slot queue
 // filled behind it, and every further Submit answered inline from the
-// degraded ladder. Locks in the exact queue/shed counters — and, with
-// batching disabled, the all-zero batcher baseline the micro-batching
-// stats build on.
+// degraded ladder. Locks in the exact queue/shed counters.
 TEST_F(ServeTest, FullQueueShedsInlineWithExactStats) {
   GatedRecommender gated(model_);
   ServeOptions options;
@@ -542,7 +540,6 @@ TEST_F(ServeTest, FullQueueShedsInlineWithExactStats) {
   options.breaker_failure_threshold = 0;
   options.top_k = 5;
   RecommendService service(&gated, *dataset_, options);
-  ASSERT_FALSE(service.batching_enabled());
   ASSERT_TRUE(service.Start().ok());
 
   const kg::EntityId user = dataset_->users[0];
@@ -588,16 +585,6 @@ TEST_F(ServeTest, FullQueueShedsInlineWithExactStats) {
   EXPECT_EQ(stats.full, 2);
   EXPECT_EQ(stats.popularity, kShed);
   EXPECT_EQ(stats.failed, 0);
-  // Batching disabled: the batcher counters and the full scheduler stats
-  // must be the all-zero baseline.
-  EXPECT_EQ(stats.batch_flushes, 0);
-  EXPECT_EQ(stats.batched_steps, 0);
-  const serve::BatchScheduler::Stats batch = service.batch_stats();
-  EXPECT_EQ(batch.steps, 0);
-  EXPECT_EQ(batch.flushes, 0);
-  EXPECT_EQ(batch.forced_flushes, 0);
-  EXPECT_EQ(batch.max_batch_observed, 0);
-  EXPECT_EQ(batch.linger_p95_us, 0);
 }
 
 // Half-open at the service level, concurrently: the single probe parks in
@@ -760,15 +747,44 @@ TEST_F(ServeTest, QueueAgedRequestIsShedAndCutsTheLimit) {
   EXPECT_EQ(service.admission().snapshot().decreases, 1);
 }
 
+// A virtual clock on which every reading costs `tick`. It is as
+// deterministic as VirtualTimeSource, but a stage timed between two
+// readings (the ladder floor) measures a non-zero duration, as it would on
+// a real clock; on a plain virtual clock the floor's p95 stays 0.
+class TickingTimeSource final : public util::TimeSource {
+ public:
+  explicit TickingTimeSource(Clock::duration tick) : tick_(tick) {}
+
+  Clock::time_point Now() const override {
+    const Clock::time_point now = clock_.Now();
+    clock_.Advance(tick_);
+    return now;
+  }
+  void SleepFor(Clock::duration d) override { clock_.SleepFor(d); }
+  std::cv_status WaitUntil(std::condition_variable& cv,
+                           std::unique_lock<std::mutex>& lock,
+                           Clock::time_point deadline) override {
+    return clock_.WaitUntil(cv, lock, deadline);
+  }
+  void Advance(Clock::duration d) { clock_.Advance(d); }
+
+ private:
+  const Clock::duration tick_;
+  mutable serve::VirtualTimeSource clock_;
+};
+
 // The early-shed gate: once the ladder floor's p95 is observed (warmed by
 // the first wave's queue-timeout sheds), a request whose entire budget is
-// below it is answered through the fallback right at admission. Runs on
-// the real clock — microscopic budgets are doomed either way, the split
-// between early and queue-timeout sheds is timing-dependent, their sum is
-// not.
+// below it is answered through the fallback right at admission. The gate
+// reads the budget from the one admission-time clock reading, so the
+// clock reads Submit makes after it (each costing a tick here) cannot push
+// a cold-gate request into an early shed.
 TEST_F(ServeTest, EarlyShedCatchesBudgetsBelowTheFloor) {
+  // A 2us floor lands in the [2, 3]us histogram bucket: p95 = 3us.
+  TickingTimeSource clock(std::chrono::microseconds{2});
   ServeOptions options = UnitOptions();
   options.manual_pump = true;
+  options.time_source = &clock;
   options.admission.enabled = true;
   options.admission.initial_limit = 64.0;  // not the constraint under test
   RecommendService service(model_, *dataset_, options);
@@ -790,18 +806,18 @@ TEST_F(ServeTest, EarlyShedCatchesBudgetsBelowTheFloor) {
 
   // Wave 1: the floor histogram is cold, so these queue; by drain time
   // their 1us budgets are long gone -> queue-timeout sheds that run the
-  // popularity floor and warm its p95 (>= 1us by round-up).
+  // popularity floor and warm its p95.
   constexpr int kWave1 = 5, kWave2 = 15;
   std::vector<std::future<ServeResponse>> futures;
   for (int i = 0; i < kWave1; ++i) futures.push_back(submit_doomed());
-  std::this_thread::sleep_for(std::chrono::milliseconds{2});
+  clock.Advance(std::chrono::milliseconds{2});
   drain();
   ASSERT_GE(service.admission().snapshot().floor_p95_us, 1);
 
-  // Wave 2: the gate is armed; a 1us budget (minus the nanoseconds burned
-  // reaching the check) falls below the floor p95 and sheds inline.
+  // Wave 2: the gate is armed; a 1us budget falls below the floor p95 and
+  // sheds inline.
   for (int i = 0; i < kWave2; ++i) futures.push_back(submit_doomed());
-  std::this_thread::sleep_for(std::chrono::milliseconds{2});
+  clock.Advance(std::chrono::milliseconds{2});
   drain();
 
   for (auto& f : futures) {
@@ -841,7 +857,6 @@ TEST_F(ServeTest, MetricsTextExposesServingSurface) {
            "cadrl_serve_queue_wait_us_count 1",
            "cadrl_serve_snapshot_age_seconds ",
            "cadrl_serve_arena_bytes{section=\"store_rows\"}",
-           "cadrl_serve_batch_steps_total 0",
        }) {
     EXPECT_NE(text.find(needle), std::string::npos)
         << "missing metric: " << needle << "\n"
@@ -858,10 +873,6 @@ TEST_F(ServeTest, ValidateRejectsBadOptions) {
   EXPECT_TRUE(o.Validate().IsInvalidArgument());
   o = ServeOptions();
   o.top_k = 0;
-  EXPECT_TRUE(o.Validate().IsInvalidArgument());
-  o = ServeOptions();
-  o.manual_pump = true;
-  o.batch_max = 4;  // single-threaded pump has no peers to park for
   EXPECT_TRUE(o.Validate().IsInvalidArgument());
   o = ServeOptions();
   o.admission.decrease_factor = 2.0;

@@ -212,22 +212,18 @@ TEST_F(ThreadInvarianceTest, KernelBackendsProduceIdenticalModels) {
   std::remove(model_blocked.c_str());
 }
 
-TEST_F(ThreadInvarianceTest, BatchedServingIsWorkerCountInvariant) {
-  // The serving-side face of the same contract: the worker count and the
-  // micro-batch flush composition are pure performance knobs. A service
-  // with cross-request batching enabled must return, at every worker
-  // count, the exact bytes of a direct single-threaded Recommend call —
-  // item ids, scores, and explanation paths.
-  core::CadrlOptions opts = BaseOptions();
-  opts.threads = 1;
-  opts.transe.threads = 1;
-  core::CadrlRecommender model(opts);
-  ASSERT_TRUE(model.Fit(*dataset_).ok());
-
+// Serves every user twice through a RecommendService at 1 and 4 workers
+// and checks each response against `model`'s direct single-threaded
+// Recommend, byte for byte: item ids, scores and explanation paths.
+// `quantized` also checks that the quantized arena footprint surfaces
+// through the service stats.
+void ExpectServingMatchesDirect(core::CadrlRecommender* model,
+                                const data::Dataset& dataset,
+                                bool quantized) {
   constexpr int kTopK = 5;
   std::vector<std::vector<eval::Recommendation>> baseline;
-  for (kg::EntityId user : dataset_->users) {
-    baseline.push_back(model.Recommend(user, kTopK));
+  for (kg::EntityId user : dataset.users) {
+    baseline.push_back(model->Recommend(user, kTopK));
   }
 
   for (const int workers : {1, 4}) {
@@ -235,16 +231,14 @@ TEST_F(ThreadInvarianceTest, BatchedServingIsWorkerCountInvariant) {
     options.threads = workers;
     options.queue_capacity = 256;
     options.top_k = kTopK;
-    options.batch_max = 4;
-    options.batch_linger = std::chrono::microseconds{200};
-    serve::RecommendService service(&model, *dataset_, options);
+    serve::RecommendService service(model, dataset, options);
     ASSERT_TRUE(service.Start().ok());
     std::vector<std::future<serve::ServeResponse>> futures;
     std::vector<size_t> indices;
     for (int round = 0; round < 2; ++round) {
-      for (size_t u = 0; u < dataset_->users.size(); ++u) {
+      for (size_t u = 0; u < dataset.users.size(); ++u) {
         serve::ServeRequest req;
-        req.user = dataset_->users[u];
+        req.user = dataset.users[u];
         req.k = kTopK;
         req.timeout = std::chrono::microseconds{-1};  // no deadline
         futures.push_back(service.Submit(req));
@@ -264,14 +258,29 @@ TEST_F(ThreadInvarianceTest, BatchedServingIsWorkerCountInvariant) {
       }
     }
     service.Stop();
-    EXPECT_GT(service.stats().batched_steps, 0);
+    if (quantized) {
+      const serve::RecommendService::Stats stats = service.stats();
+      EXPECT_GT(stats.arena_store_row_bytes, 0);
+      EXPECT_GT(stats.arena_store_scale_bytes, 0);
+      EXPECT_GT(stats.arena_policy_param_bytes, 0);
+    }
   }
 }
 
-TEST_F(ThreadInvarianceTest, QuantizedBatchedServingIsWorkerCountInvariant) {
+TEST_F(ThreadInvarianceTest, ServingIsWorkerCountInvariant) {
+  // The serving-side face of the same contract: the worker count is a
+  // pure performance knob.
+  core::CadrlOptions opts = BaseOptions();
+  opts.threads = 1;
+  opts.transe.threads = 1;
+  core::CadrlRecommender model(opts);
+  ASSERT_TRUE(model.Fit(*dataset_).ok());
+  ExpectServingMatchesDirect(&model, *dataset_, /*quantized=*/false);
+}
+
+TEST_F(ThreadInvarianceTest, QuantizedServingIsWorkerCountInvariant) {
   // The serving contract survives quantization: with the snapshot
-  // re-encoded as int8 rows, worker count and micro-batch composition are
-  // still pure performance knobs — every response matches the direct
+  // re-encoded as int8 rows, every response still matches the direct
   // single-threaded int8 Recommend byte for byte.
   core::CadrlOptions opts = BaseOptions();
   opts.threads = 1;
@@ -281,54 +290,7 @@ TEST_F(ThreadInvarianceTest, QuantizedBatchedServingIsWorkerCountInvariant) {
   model.set_snapshot_precision(infer::Precision::kInt8);
   model.RepublishSnapshot();
   ASSERT_EQ(model.CurrentSnapshot()->precision(), infer::Precision::kInt8);
-
-  constexpr int kTopK = 5;
-  std::vector<std::vector<eval::Recommendation>> baseline;
-  for (kg::EntityId user : dataset_->users) {
-    baseline.push_back(model.Recommend(user, kTopK));
-  }
-
-  for (const int workers : {1, 4}) {
-    serve::ServeOptions options;
-    options.threads = workers;
-    options.queue_capacity = 256;
-    options.top_k = kTopK;
-    options.batch_max = 4;
-    options.batch_linger = std::chrono::microseconds{200};
-    serve::RecommendService service(&model, *dataset_, options);
-    ASSERT_TRUE(service.Start().ok());
-    std::vector<std::future<serve::ServeResponse>> futures;
-    std::vector<size_t> indices;
-    for (int round = 0; round < 2; ++round) {
-      for (size_t u = 0; u < dataset_->users.size(); ++u) {
-        serve::ServeRequest req;
-        req.user = dataset_->users[u];
-        req.k = kTopK;
-        req.timeout = std::chrono::microseconds{-1};  // no deadline
-        futures.push_back(service.Submit(req));
-        indices.push_back(u);
-      }
-    }
-    for (size_t i = 0; i < futures.size(); ++i) {
-      const serve::ServeResponse resp = futures[i].get();
-      ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
-      ASSERT_EQ(resp.level, serve::DegradationLevel::kFull);
-      const auto& want = baseline[indices[i]];
-      ASSERT_EQ(want.size(), resp.recs.size());
-      for (size_t r = 0; r < want.size(); ++r) {
-        EXPECT_EQ(want[r].item, resp.recs[r].item);
-        EXPECT_EQ(want[r].score, resp.recs[r].score);
-        EXPECT_EQ(want[r].path.steps, resp.recs[r].path.steps);
-      }
-    }
-    service.Stop();
-    EXPECT_GT(service.stats().batched_steps, 0);
-    // The quantized arena footprint surfaces through the service stats.
-    const serve::RecommendService::Stats stats = service.stats();
-    EXPECT_GT(stats.arena_store_row_bytes, 0);
-    EXPECT_GT(stats.arena_store_scale_bytes, 0);
-    EXPECT_GT(stats.arena_policy_param_bytes, 0);
-  }
+  ExpectServingMatchesDirect(&model, *dataset_, /*quantized=*/true);
 }
 
 TEST_F(ThreadInvarianceTest, RolloutBatchIsPartOfTheAlgorithm) {

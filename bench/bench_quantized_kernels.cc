@@ -155,49 +155,6 @@ void BM_GemvQ8(benchmark::State& state) {
   RecordRowRate(state, "gemv_q8", 1.0 * t.d + 4.0);
 }
 
-// ---------- GemmNT against an encoded right-hand side ----------
-
-constexpr int kGemmM = 16;  // stacked feature rows
-
-void BM_GemmNTF32(benchmark::State& state) {
-  const QuantTable& t = TableFor(state);
-  std::vector<float> a(static_cast<size_t>(kGemmM) * t.d, 0.2f);
-  std::vector<float> c(static_cast<size_t>(kGemmM) * t.rows);
-  for (auto _ : state) {
-    std::fill(c.begin(), c.end(), 0.0f);
-    kernels::GemmNTAcc(a.data(), t.f32.data(), c.data(), kGemmM, t.rows,
-                       t.d);
-    benchmark::DoNotOptimize(c.data());
-  }
-  RecordRowRate(state, "gemmnt_f32", 4.0 * t.d);
-}
-
-void BM_GemmNTF16(benchmark::State& state) {
-  const QuantTable& t = TableFor(state);
-  std::vector<float> a(static_cast<size_t>(kGemmM) * t.d, 0.2f);
-  std::vector<float> c(static_cast<size_t>(kGemmM) * t.rows);
-  for (auto _ : state) {
-    std::fill(c.begin(), c.end(), 0.0f);
-    kernels::GemmNTF16Acc(a.data(), t.f16.data(), c.data(), kGemmM, t.rows,
-                          t.d);
-    benchmark::DoNotOptimize(c.data());
-  }
-  RecordRowRate(state, "gemmnt_f16", 2.0 * t.d);
-}
-
-void BM_GemmNTQ8(benchmark::State& state) {
-  const QuantTable& t = TableFor(state);
-  std::vector<float> a(static_cast<size_t>(kGemmM) * t.d, 0.2f);
-  std::vector<float> c(static_cast<size_t>(kGemmM) * t.rows);
-  for (auto _ : state) {
-    std::fill(c.begin(), c.end(), 0.0f);
-    kernels::GemmNTQ8Acc(a.data(), t.q8.data(), t.scales.data(),
-                         t.zps.data(), c.data(), kGemmM, t.rows, t.d);
-    benchmark::DoNotOptimize(c.data());
-  }
-  RecordRowRate(state, "gemmnt_q8", 1.0 * t.d + 4.0);
-}
-
 // ---------- encode/decode ----------
 
 void BM_QuantizeRowQ8(benchmark::State& state) {
@@ -248,9 +205,6 @@ BENCHMARK(BM_NegSqDistRowsQ8)->Apply(QuantShapes);
 BENCHMARK(BM_GemvF32)->Apply(QuantShapes);
 BENCHMARK(BM_GemvF16)->Apply(QuantShapes);
 BENCHMARK(BM_GemvQ8)->Apply(QuantShapes);
-BENCHMARK(BM_GemmNTF32)->Args({1024, 24})->Args({1024, 64});
-BENCHMARK(BM_GemmNTF16)->Args({1024, 24})->Args({1024, 64});
-BENCHMARK(BM_GemmNTQ8)->Args({1024, 24})->Args({1024, 64});
 BENCHMARK(BM_QuantizeRowQ8)->Args({1024, 24});
 BENCHMARK(BM_DequantizeRowQ8)->Args({1024, 24});
 

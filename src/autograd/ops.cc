@@ -11,32 +11,44 @@ namespace ag {
 namespace {
 
 using ImplPtr = std::shared_ptr<TensorImpl>;
+using BackwardFn = TensorImpl::BackwardFn;
 
-ImplPtr NewImpl(std::vector<int64_t> shape) {
+ImplPtr NewImpl(Shape shape) {
   auto impl = std::make_shared<TensorImpl>();
-  int64_t n = 1;
-  for (int64_t d : shape) n *= d;
-  impl->shape = std::move(shape);
-  impl->data.assign(static_cast<size_t>(n), 0.0f);
+  impl->shape = shape;
+  impl->data.assign(static_cast<size_t>(shape.numel()), 0.0f);
   return impl;
 }
 
-bool ShouldTrack(const std::vector<ImplPtr>& parents) {
-  if (!GradEnabled()) return false;
-  for (const auto& p : parents) {
-    if (p->requires_grad) return true;
-  }
-  return false;
+// Each Track attaches the tape node if gradients are needed: grad mode is on
+// and some input requires grad. `fn` must accumulate out's grad into each
+// parent that requires grad.
+void Track(TensorImpl& out, const Tensor& a, BackwardFn fn) {
+  if (!GradEnabled() || !a.requires_grad()) return;
+  out.requires_grad = true;
+  out.backward_fn = fn;
+  out.parent[0] = a.impl();
 }
 
-// Attaches the tape node if gradients are needed. `fn` must accumulate the
-// output grad into each parent that requires grad.
-void Track(const ImplPtr& out, std::vector<ImplPtr> parents,
-           std::function<void()> fn) {
-  if (!ShouldTrack(parents)) return;
-  out->requires_grad = true;
-  out->parents = std::move(parents);
-  out->backward_fn = std::move(fn);
+void Track(TensorImpl& out, const Tensor& a, const Tensor& b, BackwardFn fn) {
+  if (!GradEnabled() || (!a.requires_grad() && !b.requires_grad())) return;
+  out.requires_grad = true;
+  out.backward_fn = fn;
+  out.parent[0] = a.impl();
+  out.parent[1] = b.impl();
+}
+
+void TrackN(TensorImpl& out, const std::vector<Tensor>& inputs,
+            BackwardFn fn) {
+  if (!GradEnabled() ||
+      std::none_of(inputs.begin(), inputs.end(),
+                   [](const Tensor& t) { return t.requires_grad(); })) {
+    return;
+  }
+  out.requires_grad = true;
+  out.backward_fn = fn;
+  out.inputs.reserve(inputs.size());
+  for (const Tensor& t : inputs) out.inputs.push_back(t.impl());
 }
 
 void CheckSameShape(const Tensor& a, const Tensor& b) {
@@ -50,20 +62,21 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   auto out = NewImpl(a.shape());
   const size_t n = out->data.size();
   elemwise::AddVec(a.data(), b.data(), out->data.data(), n);
-  ImplPtr pa = a.impl(), pb = b.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pa, pb}, [o, pa, pb, n] {
-    o->EnsureGrad();
-    if (pa->requires_grad) {
-      pa->EnsureGrad();
-      for (size_t i = 0; i < n; ++i) pa->grad[i] += o->grad[i];
+  Track(*out, a, b, [](TensorImpl& o) {
+    TensorImpl& pa = *o.parent[0];
+    TensorImpl& pb = *o.parent[1];
+    const size_t n = o.data.size();
+    o.EnsureGrad();
+    if (pa.requires_grad) {
+      pa.EnsureGrad();
+      for (size_t i = 0; i < n; ++i) pa.grad[i] += o.grad[i];
     }
-    if (pb->requires_grad) {
-      pb->EnsureGrad();
-      for (size_t i = 0; i < n; ++i) pb->grad[i] += o->grad[i];
+    if (pb.requires_grad) {
+      pb.EnsureGrad();
+      for (size_t i = 0; i < n; ++i) pb.grad[i] += o.grad[i];
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
@@ -71,20 +84,21 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
   auto out = NewImpl(a.shape());
   const size_t n = out->data.size();
   elemwise::SubVec(a.data(), b.data(), out->data.data(), n);
-  ImplPtr pa = a.impl(), pb = b.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pa, pb}, [o, pa, pb, n] {
-    o->EnsureGrad();
-    if (pa->requires_grad) {
-      pa->EnsureGrad();
-      for (size_t i = 0; i < n; ++i) pa->grad[i] += o->grad[i];
+  Track(*out, a, b, [](TensorImpl& o) {
+    TensorImpl& pa = *o.parent[0];
+    TensorImpl& pb = *o.parent[1];
+    const size_t n = o.data.size();
+    o.EnsureGrad();
+    if (pa.requires_grad) {
+      pa.EnsureGrad();
+      for (size_t i = 0; i < n; ++i) pa.grad[i] += o.grad[i];
     }
-    if (pb->requires_grad) {
-      pb->EnsureGrad();
-      for (size_t i = 0; i < n; ++i) pb->grad[i] -= o->grad[i];
+    if (pb.requires_grad) {
+      pb.EnsureGrad();
+      for (size_t i = 0; i < n; ++i) pb.grad[i] -= o.grad[i];
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
@@ -92,44 +106,41 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   auto out = NewImpl(a.shape());
   const size_t n = out->data.size();
   elemwise::MulVec(a.data(), b.data(), out->data.data(), n);
-  ImplPtr pa = a.impl(), pb = b.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pa, pb}, [o, pa, pb, n] {
-    o->EnsureGrad();
-    if (pa->requires_grad) {
-      pa->EnsureGrad();
-      for (size_t i = 0; i < n; ++i) pa->grad[i] += o->grad[i] * pb->data[i];
+  Track(*out, a, b, [](TensorImpl& o) {
+    TensorImpl& pa = *o.parent[0];
+    TensorImpl& pb = *o.parent[1];
+    const size_t n = o.data.size();
+    o.EnsureGrad();
+    if (pa.requires_grad) {
+      pa.EnsureGrad();
+      for (size_t i = 0; i < n; ++i) pa.grad[i] += o.grad[i] * pb.data[i];
     }
-    if (pb->requires_grad) {
-      pb->EnsureGrad();
-      for (size_t i = 0; i < n; ++i) pb->grad[i] += o->grad[i] * pa->data[i];
+    if (pb.requires_grad) {
+      pb.EnsureGrad();
+      for (size_t i = 0; i < n; ++i) pb.grad[i] += o.grad[i] * pa.data[i];
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor AddN(const std::vector<Tensor>& inputs) {
   CADRL_CHECK(!inputs.empty());
   auto out = NewImpl(inputs[0].shape());
   const size_t n = out->data.size();
-  std::vector<ImplPtr> parents;
-  parents.reserve(inputs.size());
   for (const Tensor& t : inputs) {
     CADRL_CHECK(t.shape() == inputs[0].shape()) << "AddN shape mismatch";
     kernels::Axpy(static_cast<int>(n), 1.0f, t.data(), out->data.data());
-    parents.push_back(t.impl());
   }
-  TensorImpl* o = out.get();
-  auto ps = parents;
-  Track(out, std::move(parents), [o, ps, n] {
-    o->EnsureGrad();
-    for (const auto& p : ps) {
+  TrackN(*out, inputs, [](TensorImpl& o) {
+    const size_t n = o.data.size();
+    o.EnsureGrad();
+    for (const auto& p : o.inputs) {
       if (!p->requires_grad) continue;
       p->EnsureGrad();
-      for (size_t i = 0; i < n; ++i) p->grad[i] += o->grad[i];
+      for (size_t i = 0; i < n; ++i) p->grad[i] += o.grad[i];
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor MeanRows(const std::vector<Tensor>& inputs) {
@@ -137,54 +148,53 @@ Tensor MeanRows(const std::vector<Tensor>& inputs) {
   auto out = NewImpl(inputs[0].shape());
   const size_t n = out->data.size();
   const float inv = 1.0f / static_cast<float>(inputs.size());
-  std::vector<ImplPtr> parents;
-  parents.reserve(inputs.size());
   for (const Tensor& t : inputs) {
     CADRL_CHECK(t.shape() == inputs[0].shape()) << "MeanRows shape mismatch";
     kernels::Axpy(static_cast<int>(n), 1.0f, t.data(), out->data.data());
-    parents.push_back(t.impl());
   }
   for (size_t i = 0; i < n; ++i) out->data[i] *= inv;
-  TensorImpl* o = out.get();
-  auto ps = parents;
-  Track(out, std::move(parents), [o, ps, n, inv] {
-    o->EnsureGrad();
-    for (const auto& p : ps) {
+  out->float_attr[0] = inv;
+  TrackN(*out, inputs, [](TensorImpl& o) {
+    const size_t n = o.data.size();
+    const float inv = o.float_attr[0];
+    o.EnsureGrad();
+    for (const auto& p : o.inputs) {
       if (!p->requires_grad) continue;
       p->EnsureGrad();
-      kernels::Axpy(static_cast<int>(n), inv, o->grad.data(),
-                    p->grad.data());
+      kernels::Axpy(static_cast<int>(n), inv, o.grad.get(), p->grad.get());
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor MulScalar(const Tensor& a, float c) {
   auto out = NewImpl(a.shape());
   const size_t n = out->data.size();
   elemwise::MulScalarVec(a.data(), c, out->data.data(), n);
-  ImplPtr pa = a.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pa}, [o, pa, c, n] {
-    o->EnsureGrad();
-    pa->EnsureGrad();
-    for (size_t i = 0; i < n; ++i) pa->grad[i] += o->grad[i] * c;
+  out->float_attr[0] = c;
+  Track(*out, a, [](TensorImpl& o) {
+    TensorImpl& pa = *o.parent[0];
+    const size_t n = o.data.size();
+    const float c = o.float_attr[0];
+    o.EnsureGrad();
+    pa.EnsureGrad();
+    for (size_t i = 0; i < n; ++i) pa.grad[i] += o.grad[i] * c;
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor AddScalar(const Tensor& a, float c) {
   auto out = NewImpl(a.shape());
   const size_t n = out->data.size();
   elemwise::AddScalarVec(a.data(), c, out->data.data(), n);
-  ImplPtr pa = a.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pa}, [o, pa, n] {
-    o->EnsureGrad();
-    pa->EnsureGrad();
-    for (size_t i = 0; i < n; ++i) pa->grad[i] += o->grad[i];
+  Track(*out, a, [](TensorImpl& o) {
+    TensorImpl& pa = *o.parent[0];
+    const size_t n = o.data.size();
+    o.EnsureGrad();
+    pa.EnsureGrad();
+    for (size_t i = 0; i < n; ++i) pa.grad[i] += o.grad[i];
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor Neg(const Tensor& a) { return MulScalar(a, -1.0f); }
@@ -195,104 +205,107 @@ Tensor Scale(const Tensor& a, const Tensor& s) {
   const size_t n = out->data.size();
   const float sv = s.data()[0];
   elemwise::MulScalarVec(a.data(), sv, out->data.data(), n);
-  ImplPtr pa = a.impl(), ps = s.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pa, ps}, [o, pa, ps, n] {
-    o->EnsureGrad();
-    const float sv2 = ps->data[0];
-    if (pa->requires_grad) {
-      pa->EnsureGrad();
-      for (size_t i = 0; i < n; ++i) pa->grad[i] += o->grad[i] * sv2;
+  Track(*out, a, s, [](TensorImpl& o) {
+    TensorImpl& pa = *o.parent[0];
+    TensorImpl& ps = *o.parent[1];
+    const size_t n = o.data.size();
+    o.EnsureGrad();
+    const float sv2 = ps.data[0];
+    if (pa.requires_grad) {
+      pa.EnsureGrad();
+      for (size_t i = 0; i < n; ++i) pa.grad[i] += o.grad[i] * sv2;
     }
-    if (ps->requires_grad) {
-      ps->EnsureGrad();
+    if (ps.requires_grad) {
+      ps.EnsureGrad();
       float acc = 0.0f;
-      for (size_t i = 0; i < n; ++i) acc += o->grad[i] * pa->data[i];
-      ps->grad[0] += acc;
+      for (size_t i = 0; i < n; ++i) acc += o.grad[i] * pa.data[i];
+      ps.grad[0] += acc;
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor Sigmoid(const Tensor& a) {
   auto out = NewImpl(a.shape());
   const size_t n = out->data.size();
   elemwise::SigmoidVec(a.data(), out->data.data(), n);
-  ImplPtr pa = a.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pa}, [o, pa, n] {
-    o->EnsureGrad();
-    pa->EnsureGrad();
+  Track(*out, a, [](TensorImpl& o) {
+    TensorImpl& pa = *o.parent[0];
+    const size_t n = o.data.size();
+    o.EnsureGrad();
+    pa.EnsureGrad();
     for (size_t i = 0; i < n; ++i) {
-      const float y = o->data[i];
-      pa->grad[i] += o->grad[i] * y * (1.0f - y);
+      const float y = o.data[i];
+      pa.grad[i] += o.grad[i] * y * (1.0f - y);
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor Tanh(const Tensor& a) {
   auto out = NewImpl(a.shape());
   const size_t n = out->data.size();
   elemwise::TanhVec(a.data(), out->data.data(), n);
-  ImplPtr pa = a.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pa}, [o, pa, n] {
-    o->EnsureGrad();
-    pa->EnsureGrad();
+  Track(*out, a, [](TensorImpl& o) {
+    TensorImpl& pa = *o.parent[0];
+    const size_t n = o.data.size();
+    o.EnsureGrad();
+    pa.EnsureGrad();
     for (size_t i = 0; i < n; ++i) {
-      const float y = o->data[i];
-      pa->grad[i] += o->grad[i] * (1.0f - y * y);
+      const float y = o.data[i];
+      pa.grad[i] += o.grad[i] * (1.0f - y * y);
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor Relu(const Tensor& a) {
   auto out = NewImpl(a.shape());
   const size_t n = out->data.size();
   elemwise::ReluVec(a.data(), out->data.data(), n);
-  ImplPtr pa = a.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pa}, [o, pa, n] {
-    o->EnsureGrad();
-    pa->EnsureGrad();
+  Track(*out, a, [](TensorImpl& o) {
+    TensorImpl& pa = *o.parent[0];
+    const size_t n = o.data.size();
+    o.EnsureGrad();
+    pa.EnsureGrad();
     for (size_t i = 0; i < n; ++i) {
-      if (pa->data[i] > 0.0f) pa->grad[i] += o->grad[i];
+      if (pa.data[i] > 0.0f) pa.grad[i] += o.grad[i];
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor LeakyRelu(const Tensor& a, float negative_slope) {
   auto out = NewImpl(a.shape());
   const size_t n = out->data.size();
   elemwise::LeakyReluVec(a.data(), negative_slope, out->data.data(), n);
-  ImplPtr pa = a.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pa}, [o, pa, n, negative_slope] {
-    o->EnsureGrad();
-    pa->EnsureGrad();
+  out->float_attr[0] = negative_slope;
+  Track(*out, a, [](TensorImpl& o) {
+    TensorImpl& pa = *o.parent[0];
+    const size_t n = o.data.size();
+    const float negative_slope = o.float_attr[0];
+    o.EnsureGrad();
+    pa.EnsureGrad();
     for (size_t i = 0; i < n; ++i) {
-      pa->grad[i] +=
-          o->grad[i] * (pa->data[i] > 0.0f ? 1.0f : negative_slope);
+      pa.grad[i] +=
+          o.grad[i] * (pa.data[i] > 0.0f ? 1.0f : negative_slope);
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor Exp(const Tensor& a) {
   auto out = NewImpl(a.shape());
   const size_t n = out->data.size();
   elemwise::ExpVec(a.data(), out->data.data(), n);
-  ImplPtr pa = a.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pa}, [o, pa, n] {
-    o->EnsureGrad();
-    pa->EnsureGrad();
-    for (size_t i = 0; i < n; ++i) pa->grad[i] += o->grad[i] * o->data[i];
+  Track(*out, a, [](TensorImpl& o) {
+    TensorImpl& pa = *o.parent[0];
+    const size_t n = o.data.size();
+    o.EnsureGrad();
+    pa.EnsureGrad();
+    for (size_t i = 0; i < n; ++i) pa.grad[i] += o.grad[i] * o.data[i];
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor Log(const Tensor& a) {
@@ -302,14 +315,14 @@ Tensor Log(const Tensor& a) {
     CADRL_CHECK_GT(a.data()[i], 0.0f) << "Log requires positive inputs";
     out->data[i] = std::log(a.data()[i]);
   }
-  ImplPtr pa = a.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pa}, [o, pa, n] {
-    o->EnsureGrad();
-    pa->EnsureGrad();
-    for (size_t i = 0; i < n; ++i) pa->grad[i] += o->grad[i] / pa->data[i];
+  Track(*out, a, [](TensorImpl& o) {
+    TensorImpl& pa = *o.parent[0];
+    const size_t n = o.data.size();
+    o.EnsureGrad();
+    pa.EnsureGrad();
+    for (size_t i = 0; i < n; ++i) pa.grad[i] += o.grad[i] / pa.data[i];
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
@@ -320,26 +333,26 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     auto out = NewImpl({m});
     kernels::Gemv(a.data(), static_cast<int>(m), static_cast<int>(k),
                   b.data(), out->data.data());
-    ImplPtr pa = a.impl(), pb = b.impl();
-    TensorImpl* o = out.get();
-    Track(out, {pa, pb}, [o, pa, pb, m, k] {
-      o->EnsureGrad();
-      if (pa->requires_grad) {
+    Track(*out, a, b, [](TensorImpl& o) {
+      TensorImpl& pa = *o.parent[0];
+      TensorImpl& pb = *o.parent[1];
+      const int m = static_cast<int>(pa.shape[0]);
+      const int k = static_cast<int>(pa.shape[1]);
+      o.EnsureGrad();
+      if (pa.requires_grad) {
         // dA += g y^T (rank-1 update).
-        pa->EnsureGrad();
-        kernels::GerAcc(static_cast<int>(m), static_cast<int>(k),
-                        o->grad.data(), pb->data.data(), pa->grad.data());
+        pa.EnsureGrad();
+        kernels::GerAcc(m, k, o.grad.get(), pb.data.data(), pa.grad.get());
       }
-      if (pb->requires_grad) {
+      if (pb.requires_grad) {
         // db += A^T g. The kernel hoists each A row pointer once instead
-        // of re-deriving pa->data.data() per element.
-        pb->EnsureGrad();
-        kernels::GemvTAcc(pa->data.data(), static_cast<int>(m),
-                          static_cast<int>(k), o->grad.data(),
-                          pb->grad.data());
+        // of re-deriving pa.data.data() per element.
+        pb.EnsureGrad();
+        kernels::GemvTAcc(pa.data.data(), m, k, o.grad.get(),
+                          pb.grad.get());
       }
     });
-    return MakeFromImpl(out);
+    return MakeFromImpl(std::move(out));
   }
   CADRL_CHECK_EQ(b.rank(), 2);
   CADRL_CHECK_EQ(b.rows(), k);
@@ -347,26 +360,27 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   auto out = NewImpl({m, p});
   kernels::GemmAcc(a.data(), b.data(), out->data.data(), static_cast<int>(m),
                    static_cast<int>(k), static_cast<int>(p));
-  ImplPtr pa = a.impl(), pb = b.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pa, pb}, [o, pa, pb, m, k, p] {
-    o->EnsureGrad();
-    if (pa->requires_grad) {
+  Track(*out, a, b, [](TensorImpl& o) {
+    TensorImpl& pa = *o.parent[0];
+    TensorImpl& pb = *o.parent[1];
+    const int m = static_cast<int>(pa.shape[0]);
+    const int k = static_cast<int>(pa.shape[1]);
+    const int p = static_cast<int>(pb.shape[1]);
+    o.EnsureGrad();
+    if (pa.requires_grad) {
       // dA += dC * B^T
-      pa->EnsureGrad();
-      kernels::GemmNTAcc(o->grad.data(), pb->data.data(), pa->grad.data(),
-                         static_cast<int>(m), static_cast<int>(k),
-                         static_cast<int>(p));
+      pa.EnsureGrad();
+      kernels::GemmNTAcc(o.grad.get(), pb.data.data(), pa.grad.get(), m, k,
+                         p);
     }
-    if (pb->requires_grad) {
+    if (pb.requires_grad) {
       // dB += A^T * dC
-      pb->EnsureGrad();
-      kernels::GemmTNAcc(pa->data.data(), o->grad.data(), pb->grad.data(),
-                         static_cast<int>(m), static_cast<int>(k),
-                         static_cast<int>(p));
+      pb.EnsureGrad();
+      kernels::GemmTNAcc(pa.data.data(), o.grad.get(), pb.grad.get(), m, k,
+                         p);
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor Dot(const Tensor& a, const Tensor& b) {
@@ -376,23 +390,22 @@ Tensor Dot(const Tensor& a, const Tensor& b) {
   const size_t n = static_cast<size_t>(a.numel());
   auto out = NewImpl({});
   out->data[0] = kernels::Dot(a.data(), b.data(), static_cast<int>(n));
-  ImplPtr pa = a.impl(), pb = b.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pa, pb}, [o, pa, pb, n] {
-    o->EnsureGrad();
-    const float g = o->grad[0];
-    if (pa->requires_grad) {
-      pa->EnsureGrad();
-      kernels::Axpy(static_cast<int>(n), g, pb->data.data(),
-                    pa->grad.data());
+  Track(*out, a, b, [](TensorImpl& o) {
+    TensorImpl& pa = *o.parent[0];
+    TensorImpl& pb = *o.parent[1];
+    const int n = static_cast<int>(pa.data.size());
+    o.EnsureGrad();
+    const float g = o.grad[0];
+    if (pa.requires_grad) {
+      pa.EnsureGrad();
+      kernels::Axpy(n, g, pb.data.data(), pa.grad.get());
     }
-    if (pb->requires_grad) {
-      pb->EnsureGrad();
-      kernels::Axpy(static_cast<int>(n), g, pa->data.data(),
-                    pb->grad.data());
+    if (pb.requires_grad) {
+      pb.EnsureGrad();
+      kernels::Axpy(n, g, pa.data.data(), pb.grad.get());
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor MatMulNT(const Tensor& x, const Tensor& w) {
@@ -404,26 +417,27 @@ Tensor MatMulNT(const Tensor& x, const Tensor& w) {
   kernels::GemmNTAcc(x.data(), w.data(), out->data.data(),
                      static_cast<int>(n), static_cast<int>(m),
                      static_cast<int>(k));
-  ImplPtr px = x.impl(), pw = w.impl();
-  TensorImpl* o = out.get();
-  Track(out, {px, pw}, [o, px, pw, n, k, m] {
-    o->EnsureGrad();
-    if (px->requires_grad) {
+  Track(*out, x, w, [](TensorImpl& o) {
+    TensorImpl& px = *o.parent[0];
+    TensorImpl& pw = *o.parent[1];
+    const int n = static_cast<int>(px.shape[0]);
+    const int k = static_cast<int>(px.shape[1]);
+    const int m = static_cast<int>(pw.shape[0]);
+    o.EnsureGrad();
+    if (px.requires_grad) {
       // dX += dC * W
-      px->EnsureGrad();
-      kernels::GemmAcc(o->grad.data(), pw->data.data(), px->grad.data(),
-                       static_cast<int>(n), static_cast<int>(m),
-                       static_cast<int>(k));
+      px.EnsureGrad();
+      kernels::GemmAcc(o.grad.get(), pw.data.data(), px.grad.get(), n, m,
+                       k);
     }
-    if (pw->requires_grad) {
+    if (pw.requires_grad) {
       // dW += dC^T * X
-      pw->EnsureGrad();
-      kernels::GemmTNAcc(o->grad.data(), px->data.data(), pw->grad.data(),
-                         static_cast<int>(n), static_cast<int>(m),
-                         static_cast<int>(k));
+      pw.EnsureGrad();
+      kernels::GemmTNAcc(o.grad.get(), px.data.data(), pw.grad.get(), n, m,
+                         k);
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor RowScale(const Tensor& m, const Tensor& s) {
@@ -433,27 +447,28 @@ Tensor RowScale(const Tensor& m, const Tensor& s) {
   CADRL_CHECK_EQ(s.numel(), rows);
   auto out = NewImpl({rows, d});
   elemwise::RowScaleMat(m.data(), s.data(), out->data.data(), rows, d);
-  ImplPtr pm = m.impl(), ps = s.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pm, ps}, [o, pm, ps, rows, d] {
-    o->EnsureGrad();
-    if (pm->requires_grad) {
-      pm->EnsureGrad();
+  Track(*out, m, s, [](TensorImpl& o) {
+    TensorImpl& pm = *o.parent[0];
+    TensorImpl& ps = *o.parent[1];
+    const int64_t rows = pm.shape[0], d = pm.shape[1];
+    o.EnsureGrad();
+    if (pm.requires_grad) {
+      pm.EnsureGrad();
       for (int64_t i = 0; i < rows; ++i) {
-        kernels::Axpy(static_cast<int>(d), ps->data[static_cast<size_t>(i)],
-                      o->grad.data() + i * d, pm->grad.data() + i * d);
+        kernels::Axpy(static_cast<int>(d), ps.data[static_cast<size_t>(i)],
+                      o.grad.get() + i * d, pm.grad.get() + i * d);
       }
     }
-    if (ps->requires_grad) {
-      ps->EnsureGrad();
+    if (ps.requires_grad) {
+      ps.EnsureGrad();
       for (int64_t i = 0; i < rows; ++i) {
-        ps->grad[static_cast<size_t>(i)] += kernels::Dot(
-            o->grad.data() + i * d, pm->data.data() + i * d,
-            static_cast<int>(d));
+        ps.grad[static_cast<size_t>(i)] +=
+            kernels::Dot(o.grad.get() + i * d, pm.data.data() + i * d,
+                         static_cast<int>(d));
       }
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor SumRows(const Tensor& m) {
@@ -461,17 +476,17 @@ Tensor SumRows(const Tensor& m) {
   const int64_t rows = m.rows(), d = m.cols();
   auto out = NewImpl({d});
   elemwise::SumRowsAcc(m.data(), out->data.data(), rows, d);
-  ImplPtr pm = m.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pm}, [o, pm, rows, d] {
-    o->EnsureGrad();
-    pm->EnsureGrad();
+  Track(*out, m, [](TensorImpl& o) {
+    TensorImpl& pm = *o.parent[0];
+    const int64_t rows = pm.shape[0], d = pm.shape[1];
+    o.EnsureGrad();
+    pm.EnsureGrad();
     for (int64_t i = 0; i < rows; ++i) {
-      kernels::Axpy(static_cast<int>(d), 1.0f, o->grad.data(),
-                    pm->grad.data() + i * d);
+      kernels::Axpy(static_cast<int>(d), 1.0f, o.grad.get(),
+                    pm.grad.get() + i * d);
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor Shift(const Tensor& a, const Tensor& s) {
@@ -480,40 +495,41 @@ Tensor Shift(const Tensor& a, const Tensor& s) {
   const size_t n = out->data.size();
   const float sv = s.data()[0];
   elemwise::AddScalarVec(a.data(), sv, out->data.data(), n);
-  ImplPtr pa = a.impl(), ps = s.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pa, ps}, [o, pa, ps, n] {
-    o->EnsureGrad();
-    if (pa->requires_grad) {
-      pa->EnsureGrad();
-      kernels::Axpy(static_cast<int>(n), 1.0f, o->grad.data(),
-                    pa->grad.data());
+  Track(*out, a, s, [](TensorImpl& o) {
+    TensorImpl& pa = *o.parent[0];
+    TensorImpl& ps = *o.parent[1];
+    const size_t n = o.data.size();
+    o.EnsureGrad();
+    if (pa.requires_grad) {
+      pa.EnsureGrad();
+      kernels::Axpy(static_cast<int>(n), 1.0f, o.grad.get(),
+                    pa.grad.get());
     }
-    if (ps->requires_grad) {
-      ps->EnsureGrad();
+    if (ps.requires_grad) {
+      ps.EnsureGrad();
       float acc = 0.0f;
-      for (size_t i = 0; i < n; ++i) acc += o->grad[i];
-      ps->grad[0] += acc;
+      for (size_t i = 0; i < n; ++i) acc += o.grad[i];
+      ps.grad[0] += acc;
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor Sum(const Tensor& a) {
   auto out = NewImpl({});
-  const size_t n = a.impl()->data.size();
+  const size_t n = static_cast<size_t>(a.numel());
   float acc = 0.0f;
   for (size_t i = 0; i < n; ++i) acc += a.data()[i];
   out->data[0] = acc;
-  ImplPtr pa = a.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pa}, [o, pa, n] {
-    o->EnsureGrad();
-    pa->EnsureGrad();
-    const float g = o->grad[0];
-    for (size_t i = 0; i < n; ++i) pa->grad[i] += g;
+  Track(*out, a, [](TensorImpl& o) {
+    TensorImpl& pa = *o.parent[0];
+    const size_t n = pa.data.size();
+    o.EnsureGrad();
+    pa.EnsureGrad();
+    const float g = o.grad[0];
+    for (size_t i = 0; i < n; ++i) pa.grad[i] += g;
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor Mean(const Tensor& a) {
@@ -528,29 +544,24 @@ Tensor Concat(const std::vector<Tensor>& parts) {
     total += t.numel();
   }
   auto out = NewImpl({total});
-  std::vector<ImplPtr> parents;
-  parents.reserve(parts.size());
   size_t offset = 0;
   for (const Tensor& t : parts) {
     std::copy(t.data(), t.data() + t.numel(), out->data.begin() + offset);
     offset += static_cast<size_t>(t.numel());
-    parents.push_back(t.impl());
   }
-  TensorImpl* o = out.get();
-  auto ps = parents;
-  Track(out, std::move(parents), [o, ps] {
-    o->EnsureGrad();
+  TrackN(*out, parts, [](TensorImpl& o) {
+    o.EnsureGrad();
     size_t off = 0;
-    for (const auto& p : ps) {
+    for (const auto& p : o.inputs) {
       const size_t n = p->data.size();
       if (p->requires_grad) {
         p->EnsureGrad();
-        for (size_t i = 0; i < n; ++i) p->grad[i] += o->grad[off + i];
+        for (size_t i = 0; i < n; ++i) p->grad[i] += o.grad[off + i];
       }
       off += n;
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor Slice(const Tensor& a, int64_t begin, int64_t len) {
@@ -560,17 +571,19 @@ Tensor Slice(const Tensor& a, int64_t begin, int64_t len) {
   CADRL_CHECK_LE(begin + len, a.numel());
   auto out = NewImpl({len});
   std::copy(a.data() + begin, a.data() + begin + len, out->data.begin());
-  ImplPtr pa = a.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pa}, [o, pa, begin, len] {
-    o->EnsureGrad();
-    pa->EnsureGrad();
+  out->index = begin;
+  Track(*out, a, [](TensorImpl& o) {
+    TensorImpl& pa = *o.parent[0];
+    const int64_t begin = o.index;
+    const int64_t len = o.shape[0];
+    o.EnsureGrad();
+    pa.EnsureGrad();
     for (int64_t i = 0; i < len; ++i) {
-      pa->grad[static_cast<size_t>(begin + i)] +=
-          o->grad[static_cast<size_t>(i)];
+      pa.grad[static_cast<size_t>(begin + i)] +=
+          o.grad[static_cast<size_t>(i)];
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor StackRows(const std::vector<Tensor>& rows) {
@@ -578,29 +591,24 @@ Tensor StackRows(const std::vector<Tensor>& rows) {
   const int64_t d = rows[0].numel();
   const int64_t m = static_cast<int64_t>(rows.size());
   auto out = NewImpl({m, d});
-  std::vector<ImplPtr> parents;
-  parents.reserve(rows.size());
   for (int64_t r = 0; r < m; ++r) {
-    CADRL_CHECK_EQ(rows[static_cast<size_t>(r)].rank(), 1);
-    CADRL_CHECK_EQ(rows[static_cast<size_t>(r)].numel(), d);
-    std::copy(rows[static_cast<size_t>(r)].data(),
-              rows[static_cast<size_t>(r)].data() + d,
-              out->data.begin() + r * d);
-    parents.push_back(rows[static_cast<size_t>(r)].impl());
+    const Tensor& row = rows[static_cast<size_t>(r)];
+    CADRL_CHECK_EQ(row.rank(), 1);
+    CADRL_CHECK_EQ(row.numel(), d);
+    std::copy(row.data(), row.data() + d, out->data.begin() + r * d);
   }
-  TensorImpl* o = out.get();
-  auto ps = parents;
-  Track(out, std::move(parents), [o, ps, d] {
-    o->EnsureGrad();
-    for (size_t r = 0; r < ps.size(); ++r) {
-      const auto& p = ps[r];
-      if (!p->requires_grad) continue;
-      p->EnsureGrad();
-      const float* grow = o->grad.data() + static_cast<int64_t>(r) * d;
-      for (int64_t i = 0; i < d; ++i) p->grad[static_cast<size_t>(i)] += grow[i];
+  TrackN(*out, rows, [](TensorImpl& o) {
+    const int64_t d = o.shape[1];
+    o.EnsureGrad();
+    for (size_t r = 0; r < o.inputs.size(); ++r) {
+      TensorImpl& p = *o.inputs[r];
+      if (!p.requires_grad) continue;
+      p.EnsureGrad();
+      const float* grow = o.grad.get() + static_cast<int64_t>(r) * d;
+      for (int64_t i = 0; i < d; ++i) p.grad[static_cast<size_t>(i)] += grow[i];
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor GatherRow(const Tensor& table, int64_t index) {
@@ -611,30 +619,31 @@ Tensor GatherRow(const Tensor& table, int64_t index) {
   auto out = NewImpl({d});
   std::copy(table.data() + index * d, table.data() + (index + 1) * d,
             out->data.begin());
-  ImplPtr pt = table.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pt}, [o, pt, index, d] {
-    o->EnsureGrad();
-    pt->EnsureGrad();
-    float* trow = pt->grad.data() + index * d;
-    for (int64_t i = 0; i < d; ++i) trow[i] += o->grad[static_cast<size_t>(i)];
+  out->index = index;
+  Track(*out, table, [](TensorImpl& o) {
+    TensorImpl& pt = *o.parent[0];
+    const int64_t index = o.index;
+    const int64_t d = o.shape[0];
+    o.EnsureGrad();
+    pt.EnsureGrad();
+    float* trow = pt.grad.get() + index * d;
+    for (int64_t i = 0; i < d; ++i) trow[i] += o.grad[static_cast<size_t>(i)];
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
-Tensor Reshape(const Tensor& a, std::vector<int64_t> shape) {
-  auto out = NewImpl(std::move(shape));
-  CADRL_CHECK_EQ(out->data.size(), a.impl()->data.size());
-  out->data = a.impl()->data;
-  const size_t n = out->data.size();
-  ImplPtr pa = a.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pa}, [o, pa, n] {
-    o->EnsureGrad();
-    pa->EnsureGrad();
-    for (size_t i = 0; i < n; ++i) pa->grad[i] += o->grad[i];
+Tensor Reshape(const Tensor& a, Shape shape) {
+  auto out = NewImpl(shape);
+  CADRL_CHECK_EQ(out->data.size(), static_cast<size_t>(a.numel()));
+  std::copy(a.data(), a.data() + a.numel(), out->data.begin());
+  Track(*out, a, [](TensorImpl& o) {
+    TensorImpl& pa = *o.parent[0];
+    const size_t n = o.data.size();
+    o.EnsureGrad();
+    pa.EnsureGrad();
+    for (size_t i = 0; i < n; ++i) pa.grad[i] += o.grad[i];
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor Softmax(const Tensor& logits) {
@@ -642,22 +651,18 @@ Tensor Softmax(const Tensor& logits) {
   const int64_t n = logits.numel();
   auto out = NewImpl({n});
   elemwise::SoftmaxVec(logits.data(), out->data.data(), n);
-  ImplPtr pl = logits.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pl}, [o, pl, n] {
-    o->EnsureGrad();
-    pl->EnsureGrad();
+  Track(*out, logits, [](TensorImpl& o) {
+    TensorImpl& pl = *o.parent[0];
+    const size_t n = o.data.size();
+    o.EnsureGrad();
+    pl.EnsureGrad();
     float dot = 0.0f;
-    for (int64_t i = 0; i < n; ++i) {
-      dot += o->grad[static_cast<size_t>(i)] * o->data[static_cast<size_t>(i)];
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      pl->grad[static_cast<size_t>(i)] +=
-          o->data[static_cast<size_t>(i)] *
-          (o->grad[static_cast<size_t>(i)] - dot);
+    for (size_t i = 0; i < n; ++i) dot += o.grad[i] * o.data[i];
+    for (size_t i = 0; i < n; ++i) {
+      pl.grad[i] += o.data[i] * (o.grad[i] - dot);
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor LogSoftmax(const Tensor& logits) {
@@ -665,20 +670,19 @@ Tensor LogSoftmax(const Tensor& logits) {
   const int64_t n = logits.numel();
   auto out = NewImpl({n});
   elemwise::LogSoftmaxVec(logits.data(), out->data.data(), n);
-  ImplPtr pl = logits.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pl}, [o, pl, n] {
-    o->EnsureGrad();
-    pl->EnsureGrad();
+  Track(*out, logits, [](TensorImpl& o) {
+    TensorImpl& pl = *o.parent[0];
+    const size_t n = o.data.size();
+    o.EnsureGrad();
+    pl.EnsureGrad();
     float grad_sum = 0.0f;
-    for (int64_t i = 0; i < n; ++i) grad_sum += o->grad[static_cast<size_t>(i)];
-    for (int64_t i = 0; i < n; ++i) {
-      const float softmax_i = std::exp(o->data[static_cast<size_t>(i)]);
-      pl->grad[static_cast<size_t>(i)] +=
-          o->grad[static_cast<size_t>(i)] - grad_sum * softmax_i;
+    for (size_t i = 0; i < n; ++i) grad_sum += o.grad[i];
+    for (size_t i = 0; i < n; ++i) {
+      const float softmax_i = std::exp(o.data[i]);
+      pl.grad[i] += o.grad[i] - grad_sum * softmax_i;
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 Tensor CosineSimilarity(const Tensor& a, const Tensor& b, float eps) {
@@ -697,27 +701,33 @@ Tensor CosineSimilarity(const Tensor& a, const Tensor& b, float eps) {
   auto out = NewImpl({});
   const float cos = dot / (na * nb);
   out->data[0] = cos;
-  ImplPtr pa = a.impl(), pb = b.impl();
-  TensorImpl* o = out.get();
-  Track(out, {pa, pb}, [o, pa, pb, n, na, nb, cos] {
-    o->EnsureGrad();
-    const float g = o->grad[0];
-    if (pa->requires_grad) {
-      pa->EnsureGrad();
+  out->float_attr[0] = na;
+  out->float_attr[1] = nb;
+  out->float_attr[2] = cos;
+  Track(*out, a, b, [](TensorImpl& o) {
+    TensorImpl& pa = *o.parent[0];
+    TensorImpl& pb = *o.parent[1];
+    const size_t n = pa.data.size();
+    const float na = o.float_attr[0], nb = o.float_attr[1];
+    const float cos = o.float_attr[2];
+    o.EnsureGrad();
+    const float g = o.grad[0];
+    if (pa.requires_grad) {
+      pa.EnsureGrad();
       for (size_t i = 0; i < n; ++i) {
-        pa->grad[i] +=
-            g * (pb->data[i] / (na * nb) - cos * pa->data[i] / (na * na));
+        pa.grad[i] +=
+            g * (pb.data[i] / (na * nb) - cos * pa.data[i] / (na * na));
       }
     }
-    if (pb->requires_grad) {
-      pb->EnsureGrad();
+    if (pb.requires_grad) {
+      pb.EnsureGrad();
       for (size_t i = 0; i < n; ++i) {
-        pb->grad[i] +=
-            g * (pa->data[i] / (na * nb) - cos * pb->data[i] / (nb * nb));
+        pb.grad[i] +=
+            g * (pa.data[i] / (na * nb) - cos * pb.data[i] / (nb * nb));
       }
     }
   });
-  return MakeFromImpl(out);
+  return MakeFromImpl(std::move(out));
 }
 
 }  // namespace ag

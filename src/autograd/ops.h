@@ -82,7 +82,7 @@ Tensor StackRows(const std::vector<Tensor>& rows);
 // Row `index` of a rank-2 tensor as a rank-1 tensor (embedding lookup).
 Tensor GatherRow(const Tensor& table, int64_t index);
 // Same data under a new shape with identical element count.
-Tensor Reshape(const Tensor& a, std::vector<int64_t> shape);
+Tensor Reshape(const Tensor& a, Shape shape);
 
 // --- Distributions ---
 // Numerically stable softmax / log-softmax over a rank-1 tensor.

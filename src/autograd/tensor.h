@@ -2,7 +2,7 @@
 #define CADRL_AUTOGRAD_TENSOR_H_
 
 #include <cstdint>
-#include <functional>
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -13,26 +13,69 @@
 namespace cadrl {
 namespace ag {
 
-// Shared storage + tape node behind a Tensor handle. Not used directly by
-// clients; exposed so op implementations (ops.cc) can build the graph.
+// Dimensions of a rank 0-2 tensor, held inline (no heap block). Converts
+// implicitly from a braced list ({}, {n}, {m, n}) or a vector of dims.
+class Shape {
+ public:
+  Shape() = default;
+  Shape(std::initializer_list<int64_t> dims);
+  Shape(const std::vector<int64_t>& dims);
+
+  int rank() const { return rank_; }
+  int64_t operator[](int i) const { return dims_[i]; }
+  int64_t numel() const;
+  bool operator==(const Shape&) const = default;
+
+ private:
+  int64_t dims_[2] = {0, 0};
+  int rank_ = 0;
+};
+
+// Storage + tape node behind a Tensor handle: one make_shared block plus
+// the data buffer (DESIGN.md §17). Not used directly by clients; exposed so
+// op implementations (ops.cc) can build the graph.
 struct TensorImpl {
+  // Accumulates `node`'s grad into the grads of its parents that require
+  // grad, reading the parents and attributes stored in the node.
+  using BackwardFn = void (*)(TensorImpl& node);
+
   TensorImpl() { util::NoteTensorAlloc(); }
 
-  std::vector<int64_t> shape;  // rank 0 (scalar), 1 (vector) or 2 (matrix)
+  Shape shape;
   std::vector<float> data;
-  std::vector<float> grad;  // allocated lazily; same length as data
+  // Allocated lazily (zeros), with as many elements as data; null before.
+  std::unique_ptr<float[]> grad;
+  // Null for leaves.
+  BackwardFn backward_fn = nullptr;
+  // Parents of a tracked op: unary and binary ops keep them inline in
+  // parent[], the n-ary ops (AddN, MeanRows, Concat, StackRows) in inputs.
+  std::shared_ptr<TensorImpl> parent[2];
+  std::vector<std::shared_ptr<TensorImpl>> inputs;
+  // Scalar attributes backward_fn reads: Slice's begin or GatherRow's row
+  // in `index`; MulScalar's factor, LeakyRelu's slope, MeanRows' 1/n or
+  // CosineSimilarity's two norms and result in `float_attr`.
+  int64_t index = 0;
+  float float_attr[3] = {0.0f, 0.0f, 0.0f};
   bool requires_grad = false;
-  // Propagates this node's grad into its parents' grads. Null for leaves.
-  std::function<void()> backward_fn;
-  std::vector<std::shared_ptr<TensorImpl>> parents;
+  // Set once Backward has run backward_fn and freed the grad and the
+  // parents; a later Backward that reaches this node fails.
+  bool released = false;
   // Last Backward() traversal that visited this node. Comparing against a
   // process-wide epoch replaces a per-call hash set in the hot tape walk;
   // safe for concurrent Backward() calls because disjoint graphs never
   // share nodes and each call draws a unique epoch.
   uint64_t visit_mark = 0;
 
+  size_t num_parents() const {
+    if (!inputs.empty()) return inputs.size();
+    return parent[1] ? 2 : (parent[0] ? 1 : 0);
+  }
+  const std::shared_ptr<TensorImpl>& parent_at(size_t i) const {
+    return inputs.empty() ? parent[i] : inputs[i];
+  }
+
   void EnsureGrad() {
-    if (grad.size() != data.size()) grad.assign(data.size(), 0.0f);
+    if (grad == nullptr) grad = std::make_unique<float[]>(data.size());
   }
 };
 
@@ -46,21 +89,19 @@ class Tensor {
 
   // --- Factory functions ---
   static Tensor Scalar(float value, bool requires_grad = false);
-  static Tensor Zeros(std::vector<int64_t> shape, bool requires_grad = false);
-  static Tensor Full(std::vector<int64_t> shape, float value,
-                     bool requires_grad = false);
-  static Tensor FromVector(std::vector<float> values,
-                           std::vector<int64_t> shape,
+  static Tensor Zeros(Shape shape, bool requires_grad = false);
+  static Tensor Full(Shape shape, float value, bool requires_grad = false);
+  static Tensor FromVector(std::vector<float> values, Shape shape,
                            bool requires_grad = false);
   // I.i.d. Gaussian entries with the given standard deviation.
-  static Tensor Randn(std::vector<int64_t> shape, Rng* rng, float stddev,
+  static Tensor Randn(Shape shape, Rng* rng, float stddev,
                       bool requires_grad = false);
 
   bool defined() const { return impl_ != nullptr; }
 
   // --- Shape accessors ---
-  int rank() const { return static_cast<int>(impl_->shape.size()); }
-  const std::vector<int64_t>& shape() const { return impl_->shape; }
+  int rank() const { return impl_->shape.rank(); }
+  const Shape& shape() const { return impl_->shape; }
   int64_t numel() const { return static_cast<int64_t>(impl_->data.size()); }
   // Rank-2 helpers.
   int64_t rows() const;
@@ -96,8 +137,13 @@ class Tensor {
 Tensor MakeFromImpl(std::shared_ptr<TensorImpl> impl);
 
 // Runs reverse-mode differentiation from `root` (must be a scalar),
-// accumulating into .grad() of every reachable tensor that requires grad.
-// Grads accumulate across calls; use Optimizer::ZeroGrad between steps.
+// accumulating into .grad() of every reachable leaf that requires grad.
+// Leaf grads accumulate across calls; use Optimizer::ZeroGrad between
+// steps. Backward frees the graph as it goes: once a node's backward has
+// run, its grad and its references to its parents are released, so nodes
+// no handle holds are destroyed before the walk ends. Leaves keep their
+// grads and every node keeps its value. Backward through a graph that an
+// earlier Backward freed fails a CHECK.
 void Backward(const Tensor& root);
 
 // While alive, newly created ops record no tape (inference mode). Nestable.

@@ -633,50 +633,6 @@ void GemvF16(const uint16_t* a, int m, int n, const float* x, float* y) {
   }
 }
 
-void GemmNTQ8Acc(const float* a, const int8_t* b, const float* b_scales,
-                 const float* b_zps, float* c, int m, int n, int k) {
-  if (ActiveBackend() == Backend::kScalar) {
-    for (int i = 0; i < m; ++i) {
-      const float* a_row = a + static_cast<long>(i) * k;
-      float* c_row = c + static_cast<long>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        c_row[j] += DotQ8Scalar(a_row, b + static_cast<long>(j) * k,
-                                b_scales[j], b_zps[j], k);
-      }
-    }
-  } else {
-    for (int i = 0; i < m; ++i) {
-      const float* a_row = a + static_cast<long>(i) * k;
-      float* c_row = c + static_cast<long>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        c_row[j] += DotQ8Blocked(a_row, b + static_cast<long>(j) * k,
-                                 b_scales[j], b_zps[j], k);
-      }
-    }
-  }
-}
-
-void GemmNTF16Acc(const float* a, const uint16_t* b, float* c, int m, int n,
-                  int k) {
-  if (ActiveBackend() == Backend::kScalar) {
-    for (int i = 0; i < m; ++i) {
-      const float* a_row = a + static_cast<long>(i) * k;
-      float* c_row = c + static_cast<long>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        c_row[j] += DotF16Scalar(a_row, b + static_cast<long>(j) * k, k);
-      }
-    }
-  } else {
-    for (int i = 0; i < m; ++i) {
-      const float* a_row = a + static_cast<long>(i) * k;
-      float* c_row = c + static_cast<long>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        c_row[j] += DotF16Blocked(a_row, b + static_cast<long>(j) * k, k);
-      }
-    }
-  }
-}
-
 void NegSqDistRowsQ8(const int8_t* rows, const float* scales,
                      const float* zps, int num, int d, const float* u,
                      const float* r, float* out) {

@@ -97,13 +97,6 @@ void GemvQ8(const int8_t* a, const float* scales, const float* zps, int m,
             int n, const float* x, float* y);
 void GemvF16(const uint16_t* a, int m, int n, const float* x, float* y);
 
-// C[i][j] += DotQ8(A row i, B row j) for f32 A (m x k) against quantized
-// B (n x k): C += A * dequant(B)^T, each element in the 8-lane order.
-void GemmNTQ8Acc(const float* a, const int8_t* b, const float* b_scales,
-                 const float* b_zps, float* c, int m, int n, int k);
-void GemmNTF16Acc(const float* a, const uint16_t* b, float* c, int m, int n,
-                  int k);
-
 // out[i] = -||(u + r) - dequant(rows[i])||^2 over quantized rows: the
 // fused TransE translation score, dequantize-on-accumulate.
 void NegSqDistRowsQ8(const int8_t* rows, const float* scales,

@@ -1,11 +1,12 @@
-// Heap-allocation budget of a warmed compiled beam search. The binary
-// replaces the global operator new with a per-thread counter, so it is kept
-// apart from cadrl_tests. Once a thread has served every user once (its
-// scratch has grown to the world's working sizes), Recommend(k) may
-// allocate only its answer: the result vector and one step vector per
-// returned path, k + 1 in all. The budget is k + 6 (n + 6 for
-// FindPaths(n)), which leaves a little room without letting any
-// per-element or per-hop allocation back in.
+// Heap-allocation budgets: of a warmed compiled beam search, and of one
+// autograd tape node. The binary replaces the global operator new with a
+// per-thread counter, so it is kept apart from cadrl_tests.
+//
+// Once a thread has served every user once (its scratch has grown to the
+// world's working sizes), Recommend(k) may allocate only its answer: the
+// result vector and one step vector per returned path, k + 1 in all. The
+// budget is k + 6 (n + 6 for FindPaths(n)), which leaves a little room
+// without letting any per-element or per-hop allocation back in.
 
 #include <cstdint>
 #include <cstdlib>
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "autograd/ops.h"
 #include "core/cadrl.h"
 #include "data/generator.h"
 #include "infer/precision.h"
@@ -140,6 +142,30 @@ TEST_P(AllocBudgetTest, DeadlineAwareCallsStayWithinBudget) {
     ASSERT_TRUE(model_->FindPaths(user, 10, ctx, &paths).ok());
     EXPECT_LE(t_allocs - before, 10 + kSlack) << "user " << user;
   }
+}
+
+// The autograd tape's cost per node (DESIGN.md §17): a tracked op makes
+// its node block (shape, parents and backward state inline) and its data
+// block, and an n-ary op one more block for its parent list. The grad is
+// allocated later, by Backward.
+TEST(TapeAllocBudgetTest, TrackedBinaryOpMakesTwoAllocations) {
+  const ag::Tensor a = ag::Tensor::Full({24}, 0.5f, /*requires_grad=*/true);
+  const ag::Tensor b = ag::Tensor::Full({24}, 2.0f, /*requires_grad=*/true);
+  const int64_t before = t_allocs;
+  const ag::Tensor c = ag::Mul(a, b);
+  EXPECT_LE(t_allocs - before, 2);
+  EXPECT_TRUE(c.requires_grad());
+}
+
+TEST(TapeAllocBudgetTest, ConcatOfFourMakesThreeAllocations) {
+  std::vector<ag::Tensor> parts;
+  for (int i = 0; i < 4; ++i) {
+    parts.push_back(ag::Tensor::Full({6}, 1.0f, /*requires_grad=*/true));
+  }
+  const int64_t before = t_allocs;
+  const ag::Tensor c = ag::Concat(parts);
+  EXPECT_LE(t_allocs - before, 3);
+  EXPECT_TRUE(c.requires_grad());
 }
 
 INSTANTIATE_TEST_SUITE_P(Precisions, AllocBudgetTest,

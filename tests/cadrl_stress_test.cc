@@ -1,12 +1,16 @@
-// Stress/race harness for concurrent read-only inference: many threads
-// hammer Recommend/FindPaths on ONE fitted CadrlRecommender and the results
-// must match a sequential baseline exactly. Built as its own binary
-// (ctest labels "stress"/"tsan") so the ThreadSanitizer job can run just
-// this target: any hidden mutable inference state — a lazy cache, a shared
-// scratch buffer, an unguarded counter — shows up either as a TSan report
-// or as a result mismatch.
+// Stress/race harness: many threads hammer Recommend/FindPaths on ONE
+// fitted CadrlRecommender, and a Fit whose rollout tapes are built on pool
+// threads (and freed by the main thread's Backward) runs beside a
+// single-threaded one; the results must match the sequential baseline
+// exactly. Built as its own binary (ctest labels "stress"/"tsan") so the
+// ThreadSanitizer job can run just this target: any hidden mutable state —
+// a lazy cache, a shared scratch buffer, an unguarded counter, a tape node
+// shared across threads — shows up either as a TSan report or as a result
+// mismatch.
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <future>
 #include <thread>
 #include <vector>
@@ -185,6 +189,34 @@ TEST_F(CadrlStressTest, ParallelEvaluationMatchesSequential) {
   EXPECT_EQ(sequential.recall, parallel.recall);
   EXPECT_EQ(sequential.hit_rate, parallel.hit_rate);
   EXPECT_EQ(sequential.precision, parallel.precision);
+}
+
+// Training with rollouts on pool threads: every episode's tape is built on
+// a worker and freed by the main thread's Backward, and the CGGNN tape
+// alongside. Results depend on rollout_batch but are bit-identical for
+// every thread count.
+TEST_F(CadrlStressTest, ParallelFitMatchesSequential) {
+  core::CadrlOptions o = StressOptions();
+  o.use_cggnn = true;
+  o.cggnn.epochs = 2;
+  o.cggnn.pairs_per_epoch = 32;
+  o.rollout_batch = 4;
+  o.threads = 1;
+  core::CadrlRecommender sequential(o);
+  ASSERT_TRUE(sequential.Fit(*dataset_).ok());
+  o.threads = 4;
+  core::CadrlRecommender parallel(o);
+  ASSERT_TRUE(parallel.Fit(*dataset_).ok());
+
+  const std::vector<float>& want = sequential.epoch_rewards();
+  const std::vector<float>& got = parallel.epoch_rewards();
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(got[i]),
+              std::bit_cast<uint32_t>(want[i]))
+        << "epoch " << i;
+  }
 }
 
 // The failpoint registry answers an unarmed Hit from one atomic load,

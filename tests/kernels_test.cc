@@ -608,37 +608,6 @@ TEST(KernelsTest, GemvQ8AndF16MatchDequantizedGemv) {
   });
 }
 
-TEST(KernelsTest, GemmNTQ8AccAndF16AccMatchDequantizedGemm) {
-  ForEachBackend([] {
-    Lcg rng(71);
-    for (int m : {1, 3, 9}) {
-      for (int n : {1, 4, 33}) {
-        for (int k : {5, 8, 13, 24}) {
-          const auto a = rng.Vec(m * k);
-          const auto raw = rng.Vec(n * k);
-          const Q8Table t(raw, n, k);
-          std::vector<float> got = rng.Vec(m * n);
-          std::vector<float> want = got;
-          GemmNTQ8Acc(a.data(), t.q.data(), t.scales.data(), t.zps.data(),
-                      got.data(), m, n, k);
-          GemmNTAcc(a.data(), t.dequant.data(), want.data(), m, n, k);
-          ExpectSameBits(got, want, "GemmNTQ8Acc");
-
-          std::vector<uint16_t> h(raw.size());
-          QuantizeRowF16(raw.data(), n * k, h.data());
-          std::vector<float> deq(raw.size());
-          DequantizeRowF16(h.data(), n * k, deq.data());
-          got = rng.Vec(m * n);
-          want = got;
-          GemmNTF16Acc(a.data(), h.data(), got.data(), m, n, k);
-          GemmNTAcc(a.data(), deq.data(), want.data(), m, n, k);
-          ExpectSameBits(got, want, "GemmNTF16Acc");
-        }
-      }
-    }
-  });
-}
-
 TEST(KernelsTest, NegSqDistRowsQ8AndF16MatchDequantizedRows) {
   ForEachBackend([] {
     Lcg rng(73);

@@ -1,3 +1,6 @@
+#include <cmath>
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
@@ -92,6 +95,58 @@ TEST(BackwardTest, DiamondGraphAccumulatesOnce) {
   Tensor loss = Sum(Add(sq, sq));
   Backward(loss);
   EXPECT_FLOAT_EQ(a.grad()[0], 8.0f);
+}
+
+TEST(BackwardTest, FreesInteriorNodesKeepsLeafGradsAndValues) {
+  // loss = sum(tanh(a * b)) with leaves a, b and interior prod, act.
+  Tensor a = Tensor::FromVector({0.5f, -1.0f}, {2}, /*requires_grad=*/true);
+  Tensor b = Tensor::FromVector({2.0f, 0.25f}, {2}, /*requires_grad=*/true);
+  Tensor prod = Mul(a, b);
+  Tensor act = Tanh(prod);
+  Tensor loss = Sum(act);
+  const float value = loss.item();
+  Backward(loss);
+
+  const float d0 = 1.0f - std::tanh(1.0f) * std::tanh(1.0f);
+  EXPECT_FLOAT_EQ(a.grad()[0], 2.0f * d0);
+  EXPECT_FLOAT_EQ(b.grad()[0], 0.5f * d0);
+  EXPECT_EQ(loss.item(), value);
+  EXPECT_FLOAT_EQ(prod.at(1), -0.25f);
+  for (const Tensor* t : {&prod, &act, &loss}) {
+    EXPECT_TRUE(t->impl()->released);
+    EXPECT_EQ(t->impl()->grad, nullptr);
+    EXPECT_EQ(t->impl()->num_parents(), 0u);
+    EXPECT_EQ(t->impl()->backward_fn, nullptr);
+  }
+  EXPECT_FALSE(a.impl()->released);
+}
+
+TEST(BackwardTest, DestroysFreedNodesThatNoHandleHolds) {
+  Tensor a = Tensor::FromVector({1.0f, 2.0f}, {2}, /*requires_grad=*/true);
+  std::weak_ptr<TensorImpl> interior;
+  Tensor loss;
+  {
+    Tensor x = MulScalar(a, 3.0f);
+    interior = x.impl();
+    loss = Sum(AddScalar(x, 1.0f));
+  }
+  EXPECT_FALSE(interior.expired()) << "the tape holds x until Backward";
+  Backward(loss);
+  EXPECT_TRUE(interior.expired());
+  EXPECT_FLOAT_EQ(a.grad()[1], 3.0f);
+}
+
+TEST(BackwardDeathTest, SecondBackwardThroughAFreedGraphFails) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Tensor a = Tensor::FromVector({1.0f}, {1}, /*requires_grad=*/true);
+  Tensor loss = Sum(MulScalar(a, 2.0f));
+  Backward(loss);
+  EXPECT_DEATH(Backward(loss), "an earlier Backward freed");
+
+  // A new graph built on a freed node reaches it too.
+  Tensor x = MulScalar(a, 2.0f);
+  Backward(Sum(x));
+  EXPECT_DEATH(Backward(Sum(x)), "an earlier Backward freed");
 }
 
 TEST(BackwardTest, ChainThroughManyOps) {

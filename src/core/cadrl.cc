@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <filesystem>
 #include <iomanip>
-#include <iostream>
 #include <limits>
 #include <sstream>
 
@@ -560,47 +558,8 @@ void CadrlRecommender::RepublishSnapshot() {
 std::shared_ptr<const infer::CompiledModel> CadrlRecommender::BuildSnapshot(
     const EmbeddingStore& store, const SharedPolicyNetworks& policy,
     float scale) const {
-  const infer::CompiledModelOptions options{snapshot_precision_};
-  if (infer::ShardedSnapshotsFromEnv()) {
-    // Route the publish through the relocatable shard format: compile into
-    // a private temp directory, map it, then remove the files — the
-    // mappings keep the pages alive (POSIX), which doubles as a standing
-    // proof that a mapped snapshot survives its files being replaced or
-    // unlinked underneath it.
-    const char* tmp = std::getenv("TEST_TMPDIR");
-    std::string tmpl = std::string(tmp != nullptr && tmp[0] != '\0'
-                                       ? tmp
-                                       : "/tmp") +
-                       "/cadrl_shard_pub_XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    if (::mkdtemp(buf.data()) != nullptr) {
-      const std::string dir(buf.data());
-      infer::ShardWriteOptions wopts;
-      // Small default so even the tiny test datasets split across several
-      // shards — the variant must exercise real shard boundaries.
-      wopts.shard_rows = infer::ShardRowsFromEnv(48);
-      infer::ShardWriteStats wstats;
-      Status status =
-          infer::CompileToShardDir(store.View(), policy.ParamsView(), scale,
-                                   options, dir, wopts, &wstats);
-      std::shared_ptr<const infer::CompiledModel> model;
-      if (status.ok()) {
-        infer::ShardLoadOptions lopts;
-        lopts.verify_payload = infer::ShardVerifyFromEnv();
-        status = infer::LoadFromShardDir(dir, lopts, nullptr, &model);
-      }
-      std::error_code ec;
-      std::filesystem::remove_all(dir, ec);
-      if (status.ok()) return model;
-      // Fall through to the heap build (byte-identical outputs either
-      // way) — e.g. a test has an io/* failpoint armed that our internal
-      // writes tripped; the publish itself must still succeed.
-      std::cerr << "[cadrl] sharded snapshot publish failed ("
-                << status.ToString() << "), using heap arena" << std::endl;
-    }
-  }
-  return infer::CompiledModel::Build(store, policy, scale, options);
+  return infer::CompiledModel::Build(
+      store, policy, scale, infer::CompiledModelOptions{snapshot_precision_});
 }
 
 Status CadrlRecommender::CompileSnapshotToDir(

@@ -267,12 +267,7 @@ class CadrlRecommender : public eval::Recommender {
   void PublishSnapshot(std::shared_ptr<const infer::CompiledModel> snapshot);
 
   // Compiles a publishable snapshot from an f32 store + policy at the
-  // current snapshot precision. Every publish site routes through here:
-  // with CADRL_SNAPSHOT_SHARDED=1 the snapshot detours through a temp
-  // shard directory and comes back mmap-backed (the files are removed
-  // immediately — the mappings keep the pages alive), so the whole test
-  // suite can run against the sharded layout; otherwise it is a plain
-  // heap-arena CompiledModel::Build.
+  // current snapshot precision. Every publish site routes through here.
   std::shared_ptr<const infer::CompiledModel> BuildSnapshot(
       const EmbeddingStore& store, const SharedPolicyNetworks& policy,
       float scale) const;

@@ -28,16 +28,12 @@ namespace infer {
 // (dequantized) inputs.
 struct CompiledModelOptions {
   Precision precision = Precision::kF32;
-
-  // Default options with `precision` taken from CADRL_PRECISION
-  // (f32|f16|int8; unset -> f32).
-  static CompiledModelOptions FromEnv();
 };
 
-// Arena footprint by section, in bytes (RecommendService::Stats and every
-// bench JSON dump report these — the memory claim is a measured number).
-// For a shard-dir-backed model these are the *logical* section sizes inside
-// the mappings (the heap arenas are empty; see arena_size()).
+// Snapshot footprint by section, in bytes (RecommendService::Stats and
+// every bench JSON dump report these — the memory claim is a measured
+// number). These are the logical section sizes inside the shard blobs,
+// whichever backing holds them.
 struct ArenaBytes {
   size_t store_rows = 0;    // embedding-table row payloads (all tables)
   size_t store_scales = 0;  // per-row int8 scale/zero-point metadata
@@ -46,7 +42,7 @@ struct ArenaBytes {
 };
 
 // Aggregate shard-set accounting for a shard-dir-backed model (all zero for
-// heap-arena models). `shards_remapped`/`shards_reused` describe how this
+// a Build model). `shards_remapped`/`shards_reused` describe how this
 // model was loaded relative to the `previous` model handed to the loader:
 // a delta reload reuses the unchanged shards' mappings and maps only the
 // republished ones.
@@ -59,9 +55,10 @@ struct ShardSetStats {
   bool fallback_buffered = false;  // any mapping fell back to a heap read
 };
 
-// One entity-range shard of a shard-dir-backed model, as loaded. The CRC is
-// the payload CRC recorded in the manifest — the delta loader's identity
-// key for mapping reuse.
+// One entity-range shard blob of a model. The CRC is the blob's payload
+// CRC, as recorded in the manifest — the delta loader's identity key for
+// mapping reuse. A Build model has one, covering every row, with an empty
+// file name and generation 0.
 struct ShardSetInfo {
   std::string file;  // basename within the shard dir
   int64_t row_begin = 0;
@@ -73,84 +70,84 @@ struct ShardSetInfo {
 
 // A frozen, tape-free inference snapshot: every parameter the serving path
 // needs — the embedding tables and both agents' policy parameters —
-// flattened out of ag::Tensor into contiguous immutable arenas, plus
-// the views the compiled forwards (scoring.h / policy_forward.h) read.
-// Instances are immutable after Build and shared by std::shared_ptr, which
-// is what makes RCU-style hot swap safe: a reader that grabbed the pointer
-// keeps a complete consistent model alive for the whole request while a
-// writer publishes a new snapshot (DESIGN.md §12).
+// encoded out of ag::Tensor into the shard layout of infer/shard_layout.h,
+// plus the views the compiled forwards (scoring.h / policy_forward.h) read.
+// Instances are immutable after construction and shared by std::shared_ptr,
+// which is what makes RCU-style hot swap safe: a reader that grabbed the
+// pointer keeps a complete consistent model alive for the whole request
+// while a writer publishes a new snapshot (DESIGN.md §12).
+//
+// There is one representation with two backings. Build encodes an entity
+// shard covering every row plus the meta shard into owned heap buffers;
+// LoadFromShardDir maps the same blobs from a shard directory. Both bind
+// through one binder (ShardBinder), so the two differ only in where the
+// bytes live — a one-shard table binds flat, a multi-shard one as
+// segments (infer/precision.h).
 //
 // The embedding tables live in the row format selected at Build
-// (CompiledModelOptions::precision): f32 rows in the float arena, f16 rows
-// in the half arena, or int8 rows in the byte arena with per-row binary16
-// scale/zero-point pairs in the half arena. Quantization happens exactly
-// once, here — training and the tape never see quantized values, and a
-// request's acquired snapshot carries one row format end-to-end.
+// (CompiledModelOptions::precision): f32, f16, or int8 rows with per-row
+// binary16 scale/zero-point pairs. Quantization happens exactly once, in
+// the shard encoder — training and the tape never see quantized values,
+// and a request's acquired snapshot carries one row format end-to-end.
 //
-// CGGNN weights are deliberately NOT part of the serving arena: the GNN
-// runs at train/load time and its outputs are already baked into the
-// store's item rows, which Build copies. The compiled CGGNN forward
-// (cggnn_forward.h) exists for that bake step, not for per-request work.
+// CGGNN weights are deliberately NOT part of the snapshot: the GNN runs at
+// train/load time and its outputs are already baked into the store's item
+// rows, which Build encodes. The compiled CGGNN forward (cggnn_forward.h)
+// exists for that bake step, not for per-request work.
 class CompiledModel {
  public:
   CompiledModel(const CompiledModel&) = delete;
   CompiledModel& operator=(const CompiledModel&) = delete;
 
-  // Deep-copies all tables and parameters out of the live store/policy
-  // into the arenas, quantizing the tables per `options.precision`. The
-  // sources may be mutated or destroyed afterwards.
+  // Encodes the live store's tables (quantized per `options.precision`)
+  // and the policy parameters into the blobs CompileToShardDir writes with
+  // shard_rows >= num_entities, held in owned heap buffers. The sources may
+  // be mutated or destroyed afterwards. Defined in shard_layout.cc, next
+  // to the encoder and the binder.
   static std::shared_ptr<const CompiledModel> Build(
       const core::EmbeddingStore& store,
       const core::SharedPolicyNetworks& policy, float score_scale,
       const CompiledModelOptions& options);
-  // Convenience overload: options from CADRL_PRECISION.
-  static std::shared_ptr<const CompiledModel> Build(
-      const core::EmbeddingStore& store,
-      const core::SharedPolicyNetworks& policy, float score_scale);
 
   const ScoringView& scoring() const { return scoring_; }
   const PolicyParamsView& policy() const { return policy_; }
   float score_scale() const { return score_scale_; }
   Precision precision() const { return scoring_.precision; }
-  // Floats held by the f32 arena (policy params + f32-precision tables);
-  // prefer arena_bytes() for footprint reporting. Zero for a shard-dir-
-  // backed model — its parameters live in the mapped files, not the heap.
-  size_t arena_size() const { return arena_.size(); }
-  // Per-section arena footprint in bytes, across all three arenas (or the
-  // equivalent logical sections of the mappings for a mapped model).
+  // Per-section footprint in bytes (the logical sections of the blobs).
   const ArenaBytes& arena_bytes() const { return arena_bytes_; }
 
-  // True when this model is backed by a shard directory (ShardLoader):
-  // the tables and policy parameters point into read-only file mappings
-  // instead of the heap arenas.
-  bool mapped() const { return !mappings_.empty(); }
+  // True when this model was loaded from a shard directory: the tables
+  // and policy parameters point into file mappings rather than the owned
+  // buffers of Build.
+  bool mapped() const { return mapped_; }
   const ShardSetStats& shard_stats() const { return shard_stats_; }
   const std::vector<ShardSetInfo>& shard_infos() const { return shard_infos_; }
+  // Payload CRC of the meta shard blob.
+  uint32_t meta_crc() const { return meta_crc_; }
 
  private:
-  friend class ShardLoader;  // builds mapped instances (shard_layout.cc)
+  friend class ShardBinder;  // binds blobs into instances (shard_layout.cc)
 
   CompiledModel() = default;
 
-  std::vector<float> arena_;      // policy params (+ f32 tables)
-  std::vector<uint16_t> half_arena_;  // f16 rows / int8 scale-zp pairs
-  std::vector<int8_t> byte_arena_;    // int8 rows
   ScoringView scoring_;
   PolicyParamsView policy_;
   ArenaBytes arena_bytes_;
   float score_scale_ = 1.0f;
 
-  // Shard-dir backend (empty for heap-arena models). `mappings_` pins the
-  // mapped files for the model's lifetime — an acquired snapshot therefore
-  // pins its whole shard set exactly like a heap arena, and a delta reload
-  // shares unchanged mappings with the previous model via the shared_ptrs.
-  // The segment vectors are the flat per-shard sub-tables the sharded
-  // RowTables (see infer/precision.h) point into; they are sized once at
-  // load and never reallocate.
-  std::vector<std::shared_ptr<const util::MmapFile>> mappings_;
+  // The blobs' backing store, entity shards first and the meta shard last:
+  // file mappings for a loaded model, owned buffers for a Build model.
+  // Holding them pins the bytes for the model's lifetime — an acquired
+  // snapshot pins its whole shard set, and a delta reload shares unchanged
+  // mappings with the previous model via the shared_ptrs. The segment
+  // vectors are the flat per-shard sub-tables a segmented RowTable (see
+  // infer/precision.h) points into; they are sized once and never
+  // reallocate.
+  std::vector<std::shared_ptr<const util::MmapFile>> backings_;
   std::vector<RowTable> ent_segments_;
   std::vector<RowTable> raw_segments_;
   std::vector<RowTable> demand_segments_;
+  bool mapped_ = false;
   ShardSetStats shard_stats_;
   std::vector<ShardSetInfo> shard_infos_;
   uint32_t meta_crc_ = 0;           // meta shard payload CRC (delta reuse)

@@ -33,12 +33,14 @@ bool ParsePrecision(const std::string& value, Precision* out);
 Precision PrecisionFromEnv();
 
 // One embedding table in the owning view's row format. Exactly the pointer
-// set matching the precision is non-null; all pointers borrow the arena.
+// set matching the precision is non-null; all pointers borrow the
+// snapshot's shard blobs.
 //
-// A table is either *flat* (the pointers cover every row contiguously —
-// the heap-arena layout) or *sharded* (rows live in `num_segments`
-// sub-tables of `segment_rows` rows each, the last possibly shorter; the
-// sub-tables are flat RowTables borrowing separate mmap'ed shard files).
+// A table is either *flat* (the pointers cover every row contiguously — a
+// snapshot with one entity shard) or *sharded* (rows live in
+// `num_segments` sub-tables of `segment_rows` rows each, the last possibly
+// shorter; the sub-tables are flat RowTables borrowing separate shard
+// blobs).
 // All row access goes through ResolveRow below, so consumers never assume
 // contiguity; flat tables keep their zero-indirection fast path.
 struct RowTable {

@@ -11,6 +11,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/embedding_store.h"
+#include "core/policy.h"
 #include "kg/graph.h"
 #include "util/crc32.h"
 #include "util/io.h"
@@ -94,7 +96,7 @@ struct Manifest {
   bool condition_on_category = false;
   int lstm_c_in = 0, lstm_e_in = 0;
   ManifestLinear linears[6];  // mix_c, mix_e, head1_c, head2_c,
-                              // head1_e, head2_e (Build's copy order)
+                              // head1_e, head2_e (the policy blob's order)
   ManifestShard meta;
   std::vector<ManifestShard> shards;
 };
@@ -205,6 +207,8 @@ Status ParseManifest(const std::string& payload, Manifest* m) {
       return Status::Corruption("manifest: malformed lstm line");
     }
   }
+  bool dims_ok = m->policy_dim >= 0 && m->policy_hidden >= 0 &&
+                 m->lstm_c_in >= 0 && m->lstm_e_in >= 0;
   for (int i = 0; i < 6; ++i) {
     std::string kind, name;
     int bias = 0;
@@ -213,6 +217,14 @@ Status ParseManifest(const std::string& payload, Manifest* m) {
       return Status::Corruption("manifest: malformed linear line");
     }
     m->linears[i].has_bias = bias != 0;
+    dims_ok = dims_ok && m->linears[i].in >= 0 && m->linears[i].out >= 0;
+  }
+  // Every size the loader derives (section sizes, the policy walk, the
+  // shard count below) assumes these signs; a negative dim would turn into
+  // a huge size_t there.
+  if (in.fail() || !dims_ok || m->dim <= 0 || m->num_entities < 0 ||
+      m->num_categories < 0 || m->shard_rows <= 0) {
+    return Status::Corruption("manifest: malformed fields");
   }
   std::string key;
   in >> key;
@@ -220,24 +232,70 @@ Status ParseManifest(const std::string& payload, Manifest* m) {
     return Status::Corruption("manifest: missing meta line");
   }
   in >> m->meta.file >> m->meta.crc >> m->meta.generation;
+  // Shard coverage must be exactly [0, num_entities) in shard_rows steps:
+  // ResolveRow's division depends on every shard but the last holding
+  // precisely shard_rows rows. The count is checked before any shard line
+  // is read, and entries are appended per parsed line, so a count the file
+  // does not back with lines costs nothing.
   size_t num_shards = 0;
   in >> key >> num_shards;
   if (in.fail() || key != "shards") {
     return Status::Corruption("manifest: missing shard count");
   }
-  m->shards.resize(num_shards);
+  const int64_t expect_shards = m->num_entities / m->shard_rows +
+                                (m->num_entities % m->shard_rows != 0 ? 1 : 0);
+  if (num_shards != static_cast<uint64_t>(expect_shards)) {
+    return Status::Corruption("manifest: shard count " +
+                              std::to_string(num_shards) +
+                              " does not cover num_entities");
+  }
   for (size_t i = 0; i < num_shards; ++i) {
-    ManifestShard& s = m->shards[i];
+    ManifestShard s;
     in >> key >> s.file >> s.row_begin >> s.row_count >> s.crc >>
         s.generation;
     if (in.fail() || key != "shard") {
       return Status::Corruption("manifest: malformed shard line");
     }
-  }
-  if (in.fail() || m->dim <= 0 || m->num_entities < 0 || m->shard_rows <= 0) {
-    return Status::Corruption("manifest: malformed fields");
+    const int64_t begin = static_cast<int64_t>(i) * m->shard_rows;
+    if (s.row_begin != begin ||
+        s.row_count != std::min(m->shard_rows, m->num_entities - begin)) {
+      return Status::Corruption("manifest: shard " + s.file +
+                                " has a non-contiguous row range");
+    }
+    m->shards.push_back(std::move(s));
   }
   return Status::OK();
+}
+
+// The manifest fields that describe a model: everything but the shard
+// entries, the meta entry and the generation.
+Manifest DescribeModel(const ScoringView& view, const PolicyParamsView& policy,
+                       float score_scale, Precision precision,
+                       int64_t shard_rows) {
+  Manifest m;
+  m.dim = view.dim;
+  m.precision = precision;
+  m.score_scale = score_scale;
+  m.mode = static_cast<int>(view.mode);
+  m.ensemble_weight = view.ensemble_weight;
+  m.num_entities = view.num_entities;
+  m.num_categories = view.num_categories;
+  m.demand = view.demand_entities.present();
+  m.shard_rows = shard_rows;
+  m.policy_dim = policy.dim;
+  m.policy_hidden = policy.hidden;
+  m.share_history = policy.share_history;
+  m.condition_on_category = policy.condition_on_category;
+  m.lstm_c_in = policy.lstm_c.in;
+  m.lstm_e_in = policy.lstm_e.in;
+  const LinearView* linears[6] = {&policy.mix_c,   &policy.mix_e,
+                                  &policy.head1_c, &policy.head2_c,
+                                  &policy.head1_e, &policy.head2_e};
+  for (int i = 0; i < 6; ++i) {
+    m.linears[i] = {linears[i]->in, linears[i]->out,
+                    linears[i]->bias != nullptr};
+  }
+  return m;
 }
 
 // --- Blob assembly --------------------------------------------------------
@@ -263,13 +321,13 @@ uint64_t LayoutSections(std::vector<SectionPlan>* sections) {
   return off;
 }
 
-// Serializes header + section table + (caller-filled payload area) into a
-// blob string; returns it with the header CRC stamped.
-std::string AssembleBlob(uint8_t kind, Precision precision, uint32_t dim,
-                         int64_t row_begin, int64_t row_count,
-                         const std::vector<SectionPlan>& sections,
-                         uint64_t total) {
-  std::string blob(total, '\0');
+// Allocates a zero-filled blob of `total` bytes and writes its header
+// (CRC stamped) and section table; the caller encodes the payload areas.
+std::unique_ptr<util::MmapFile> AssembleBlob(
+    uint8_t kind, Precision precision, uint32_t dim, int64_t row_begin,
+    int64_t row_count, const std::vector<SectionPlan>& sections,
+    uint64_t total) {
+  std::unique_ptr<util::MmapFile> blob = util::MmapFile::Allocate(total);
   ShardHeader header;
   std::memset(&header, 0, sizeof(header));
   std::memcpy(header.magic, kShardMagic, sizeof(header.magic));
@@ -281,7 +339,7 @@ std::string AssembleBlob(uint8_t kind, Precision precision, uint32_t dim,
   header.row_begin = row_begin;
   header.row_count = row_count;
   header.payload_bytes = total;
-  char* base = blob.data();
+  char* base = blob->mutable_data();
   for (size_t i = 0; i < sections.size(); ++i) {
     ShardSection s;
     std::memset(&s, 0, sizeof(s));
@@ -303,9 +361,13 @@ std::string AssembleBlob(uint8_t kind, Precision precision, uint32_t dim,
   return blob;
 }
 
+std::string_view Bytes(const util::MmapFile& file) {
+  return std::string_view(file.data(), file.size());
+}
+
 // Encodes `rows` rows of the f32 source starting at `row_begin` into the
-// blob at the planned offsets, using the exact kernels
-// CompiledModel::Build uses — bit-identical shard bytes by construction.
+// blob at the planned offsets. The only row encoder: heap snapshots and
+// shard files hold the same bytes by construction.
 void EncodeTableSlice(const float* f32_rows, int64_t row_begin, uint64_t rows,
                       uint32_t dim, Precision precision, char* rows_dst,
                       char* scales_dst, char* zps_dst) {
@@ -365,10 +427,24 @@ const SectionPlan* FindPlan(const std::vector<SectionPlan>& sections,
   return nullptr;
 }
 
+// Encodes `rows` rows of one table into the planned sections of `blob`.
+void EncodeTable(const std::vector<SectionPlan>& sections, uint32_t table,
+                 const float* f32_rows, int64_t row_begin, uint64_t rows,
+                 uint32_t dim, Precision precision, util::MmapFile* blob) {
+  const SectionPlan* r = FindPlan(sections, table, kPartRows);
+  const SectionPlan* s = FindPlan(sections, table, kPartScales);
+  const SectionPlan* z = FindPlan(sections, table, kPartZps);
+  char* base = blob->mutable_data();
+  EncodeTableSlice(f32_rows, row_begin, rows, dim, precision,
+                   base + r->offset, s != nullptr ? base + s->offset : nullptr,
+                   z != nullptr ? base + z->offset : nullptr);
+}
+
 // One entity-range shard: rows [row_begin, row_begin + rows) of the
 // entities / raw / (demand) tables.
-std::string BuildEntityShardBlob(const ScoringView& view, Precision precision,
-                                 int64_t row_begin, uint64_t rows) {
+std::shared_ptr<const util::MmapFile> BuildEntityShardBlob(
+    const ScoringView& view, Precision precision, int64_t row_begin,
+    uint64_t rows) {
   const uint32_t dim = static_cast<uint32_t>(view.dim);
   std::vector<SectionPlan> sections;
   PlanTableSections(kTabEntities, rows, dim, precision, &sections);
@@ -376,74 +452,71 @@ std::string BuildEntityShardBlob(const ScoringView& view, Precision precision,
   const bool demand = view.demand_entities.present();
   if (demand) PlanTableSections(kTabDemand, rows, dim, precision, &sections);
   const uint64_t total = LayoutSections(&sections);
-  std::string blob = AssembleBlob(/*kind=*/0, precision, dim, row_begin,
-                                  static_cast<int64_t>(rows), sections, total);
-  auto encode = [&](uint32_t table, const float* f32_rows) {
-    const SectionPlan* r = FindPlan(sections, table, kPartRows);
-    const SectionPlan* s = FindPlan(sections, table, kPartScales);
-    const SectionPlan* z = FindPlan(sections, table, kPartZps);
-    EncodeTableSlice(f32_rows, row_begin, rows, dim, precision,
-                     blob.data() + r->offset,
-                     s != nullptr ? blob.data() + s->offset : nullptr,
-                     z != nullptr ? blob.data() + z->offset : nullptr);
-  };
-  encode(kTabEntities, view.entities.f32);
-  encode(kTabRaw, view.raw_entities.f32);
-  if (demand) encode(kTabDemand, view.demand_entities.f32);
+  std::unique_ptr<util::MmapFile> blob =
+      AssembleBlob(/*kind=*/0, precision, dim, row_begin,
+                   static_cast<int64_t>(rows), sections, total);
+  EncodeTable(sections, kTabEntities, view.entities.f32, row_begin, rows, dim,
+              precision, blob.get());
+  EncodeTable(sections, kTabRaw, view.raw_entities.f32, row_begin, rows, dim,
+              precision, blob.get());
+  if (demand) {
+    EncodeTable(sections, kTabDemand, view.demand_entities.f32, row_begin,
+                rows, dim, precision, blob.get());
+  }
   return blob;
 }
 
-// Flattens the policy parameters in CompiledModel::Build's exact copy
-// order: lstm_c, lstm_e, then the six linears, weight before bias.
-std::vector<float> FlattenPolicy(const PolicyParamsView& pv) {
-  std::vector<float> out;
-  auto append = [&out](const float* src, size_t n) {
-    out.insert(out.end(), src, src + n);
-  };
+// The policy blob's parameter blocks in order: lstm_c, lstm_e (input
+// weights, hidden weights, bias), then the six linears, weight before
+// bias. The binder walks the same order when it wires the policy view.
+std::vector<std::pair<const float*, size_t>> PolicyBlocks(
+    const PolicyParamsView& pv) {
+  std::vector<std::pair<const float*, size_t>> blocks;
   for (const LstmView* l : {&pv.lstm_c, &pv.lstm_e}) {
     const size_t h4 = static_cast<size_t>(4) * l->hidden;
-    append(l->w_input, h4 * l->in);
-    append(l->w_hidden, h4 * l->hidden);
-    append(l->bias, h4);
+    blocks.emplace_back(l->w_input, h4 * l->in);
+    blocks.emplace_back(l->w_hidden, h4 * l->hidden);
+    blocks.emplace_back(l->bias, h4);
   }
   for (const LinearView* l : {&pv.mix_c, &pv.mix_e, &pv.head1_c, &pv.head2_c,
                               &pv.head1_e, &pv.head2_e}) {
-    append(l->weight, static_cast<size_t>(l->in) * l->out);
-    if (l->bias != nullptr) append(l->bias, static_cast<size_t>(l->out));
+    blocks.emplace_back(l->weight, static_cast<size_t>(l->in) * l->out);
+    if (l->bias != nullptr) {
+      blocks.emplace_back(l->bias, static_cast<size_t>(l->out));
+    }
   }
-  return out;
+  return blocks;
 }
 
 // The meta shard: relations + categories tables and the policy blob.
-std::string BuildMetaShardBlob(const ScoringView& view,
-                               const PolicyParamsView& pv,
-                               Precision precision) {
+std::shared_ptr<const util::MmapFile> BuildMetaShardBlob(
+    const ScoringView& view, const PolicyParamsView& pv,
+    Precision precision) {
   const uint32_t dim = static_cast<uint32_t>(view.dim);
   const uint64_t rel_rows = static_cast<uint64_t>(kg::kNumRelations + 1);
   const uint64_t cat_rows = static_cast<uint64_t>(view.num_categories);
-  const std::vector<float> policy = FlattenPolicy(pv);
+  const auto policy = PolicyBlocks(pv);
+  size_t policy_floats = 0;
+  for (const auto& [src, n] : policy) policy_floats += n;
   std::vector<SectionPlan> sections;
   PlanTableSections(kTabRelations, rel_rows, dim, precision, &sections);
   PlanTableSections(kTabCategories, cat_rows, dim, precision, &sections);
   sections.push_back(
-      {kTabPolicy, kPartParams, policy.size() * sizeof(float), 0, 0});
+      {kTabPolicy, kPartParams, policy_floats * sizeof(float), 0, 0});
   const uint64_t total = LayoutSections(&sections);
-  std::string blob = AssembleBlob(/*kind=*/1, precision, dim, /*row_begin=*/0,
-                                  /*row_count=*/0, sections, total);
-  auto encode = [&](uint32_t table, const float* f32_rows, uint64_t rows) {
-    const SectionPlan* r = FindPlan(sections, table, kPartRows);
-    const SectionPlan* s = FindPlan(sections, table, kPartScales);
-    const SectionPlan* z = FindPlan(sections, table, kPartZps);
-    EncodeTableSlice(f32_rows, /*row_begin=*/0, rows, dim, precision,
-                     blob.data() + r->offset,
-                     s != nullptr ? blob.data() + s->offset : nullptr,
-                     z != nullptr ? blob.data() + z->offset : nullptr);
-  };
-  encode(kTabRelations, view.relations.f32, rel_rows);
-  encode(kTabCategories, view.categories.f32, cat_rows);
-  const SectionPlan* p = FindPlan(sections, kTabPolicy, kPartParams);
-  std::memcpy(blob.data() + p->offset, policy.data(),
-              policy.size() * sizeof(float));
+  std::unique_ptr<util::MmapFile> blob =
+      AssembleBlob(/*kind=*/1, precision, dim, /*row_begin=*/0,
+                   /*row_count=*/0, sections, total);
+  EncodeTable(sections, kTabRelations, view.relations.f32, 0, rel_rows, dim,
+              precision, blob.get());
+  EncodeTable(sections, kTabCategories, view.categories.f32, 0, cat_rows, dim,
+              precision, blob.get());
+  char* dst = blob->mutable_data() +
+              FindPlan(sections, kTabPolicy, kPartParams)->offset;
+  for (const auto& [src, n] : policy) {
+    std::memcpy(dst, src, n * sizeof(float));
+    dst += n * sizeof(float);
+  }
   return blob;
 }
 
@@ -569,16 +642,22 @@ Status WireTable(std::string_view payload,
   return Status::OK();
 }
 
-}  // namespace
+// One shard blob as the binder sees it: the payload bytes (durability
+// footer excluded) and the backing that owns them — a file mapping, or the
+// owned buffer CompiledModel::Build encoded into.
+struct BlobRef {
+  std::shared_ptr<const util::MmapFile> backing;
+  std::string_view payload;
+};
 
-bool ShardedSnapshotsFromEnv() { return EnvFlag("CADRL_SNAPSHOT_SHARDED"); }
-
-int64_t ShardRowsFromEnv(int64_t fallback) {
-  const char* env = std::getenv("CADRL_SNAPSHOT_SHARD_ROWS");
-  if (env == nullptr || env[0] == '\0') return fallback;
-  const int64_t v = std::atoll(env);
-  return v > 0 ? v : fallback;
+BlobRef OwnedBlob(std::shared_ptr<const util::MmapFile> blob) {
+  BlobRef ref;
+  ref.payload = Bytes(*blob);
+  ref.backing = std::move(blob);
+  return ref;
 }
+
+}  // namespace
 
 bool ShardVerifyFromEnv() { return EnvFlag("CADRL_SHARD_VERIFY"); }
 
@@ -618,29 +697,7 @@ Status CompileToShardDir(const ScoringView& view,
     for (const ManifestShard& s : old.shards) old_by_file[s.file] = &s;
   }
 
-  Manifest next;
-  next.dim = view.dim;
-  next.precision = prec;
-  next.score_scale = score_scale;
-  next.mode = static_cast<int>(view.mode);
-  next.ensemble_weight = view.ensemble_weight;
-  next.num_entities = ent_rows;
-  next.num_categories = view.num_categories;
-  next.demand = view.demand_entities.present();
-  next.shard_rows = shard_rows;
-  next.policy_dim = policy.dim;
-  next.policy_hidden = policy.hidden;
-  next.share_history = policy.share_history;
-  next.condition_on_category = policy.condition_on_category;
-  next.lstm_c_in = policy.lstm_c.in;
-  next.lstm_e_in = policy.lstm_e.in;
-  const LinearView* linears[6] = {&policy.mix_c,   &policy.mix_e,
-                                  &policy.head1_c, &policy.head2_c,
-                                  &policy.head1_e, &policy.head2_e};
-  for (int i = 0; i < 6; ++i) {
-    next.linears[i] = {linears[i]->in, linears[i]->out,
-                       linears[i]->bias != nullptr};
-  }
+  Manifest next = DescribeModel(view, policy, score_scale, prec, shard_rows);
   next.shards.resize(static_cast<size_t>(num_shards));
 
   const uint64_t new_generation = have_old ? old.generation + 1 : 1;
@@ -654,7 +711,9 @@ Status CompileToShardDir(const ScoringView& view,
     const int64_t row_begin = i * shard_rows;
     const uint64_t rows = static_cast<uint64_t>(
         std::min<int64_t>(shard_rows, ent_rows - row_begin));
-    const std::string blob = BuildEntityShardBlob(view, prec, row_begin, rows);
+    const std::shared_ptr<const util::MmapFile> encoded =
+        BuildEntityShardBlob(view, prec, row_begin, rows);
+    const std::string_view blob = Bytes(*encoded);
     ManifestShard& entry = next.shards[static_cast<size_t>(i)];
     entry.file = ShardFileName(static_cast<int>(i));
     entry.row_begin = row_begin;
@@ -679,7 +738,9 @@ Status CompileToShardDir(const ScoringView& view,
   CADRL_RETURN_IF_ERROR(status);
 
   // The meta shard, with the same CRC-based delta skip.
-  const std::string meta_blob = BuildMetaShardBlob(view, policy, prec);
+  const std::shared_ptr<const util::MmapFile> meta_encoded =
+      BuildMetaShardBlob(view, policy, prec);
+  const std::string_view meta_blob = Bytes(*meta_encoded);
   next.meta.file = kShardMetaName;
   next.meta.crc = Crc32(meta_blob);
   if (have_old && old.meta.crc == next.meta.crc &&
@@ -720,177 +781,59 @@ Status CompileToShardDir(const ScoringView& view,
                          SerializeManifest(next));
 }
 
-// Builds mapped CompiledModel instances; the only code with private access
-// (friend) because it wires view pointers straight into the mappings.
-class ShardLoader {
+// The one code path that turns shard blobs into a CompiledModel, whatever
+// backs them; the only code with private access (friend) because it wires
+// view pointers straight into the blobs.
+class ShardBinder {
  public:
-  static Status Load(const std::string& dir, const ShardLoadOptions& options,
-                     std::shared_ptr<const CompiledModel> previous,
-                     std::shared_ptr<const CompiledModel>* out) {
-    CADRL_CHECK(out != nullptr);
-    std::string payload;
-    CADRL_RETURN_IF_ERROR(
-        ReadFileVerified(dir + "/" + kShardManifestName, &payload));
-    Manifest m;
-    CADRL_RETURN_IF_ERROR(
-        ParseManifest(payload, &m).Annotate(dir + "/" + kShardManifestName));
-
-    // Shard coverage must be exactly [0, num_entities) in shard_rows
-    // steps: ResolveRow's division depends on every shard but the last
-    // holding precisely shard_rows rows.
-    const int num_shards = static_cast<int>(m.shards.size());
-    const int expect_shards = static_cast<int>(
-        (m.num_entities + m.shard_rows - 1) / m.shard_rows);
-    if (num_shards != expect_shards) {
-      return Status::Corruption(dir + ": manifest shard count " +
-                                std::to_string(num_shards) +
-                                " does not cover num_entities");
-    }
-    for (int i = 0; i < num_shards; ++i) {
-      const ManifestShard& s = m.shards[static_cast<size_t>(i)];
-      const int64_t begin = static_cast<int64_t>(i) * m.shard_rows;
-      const int64_t rows =
-          std::min<int64_t>(m.shard_rows, m.num_entities - begin);
-      if (s.row_begin != begin || s.row_count != rows) {
-        return Status::Corruption(dir + ": shard " + s.file +
-                                  " has a non-contiguous row range");
-      }
-    }
-
-    auto model = std::shared_ptr<CompiledModel>(new CompiledModel());
+  // Binds the shard set `m` describes — shards[i] holds m.shards[i] — into
+  // `model`: blob validation, the table views (flat when one entity shard
+  // covers every row, segmented otherwise), the policy view and the
+  // ArenaBytes accounting.
+  static Status Bind(const Manifest& m, const std::vector<BlobRef>& shards,
+                     const BlobRef& meta, CompiledModel* model) {
     const Precision prec = m.precision;
     const uint32_t dim = static_cast<uint32_t>(m.dim);
-
-    // Index the previous model's shard set for delta reuse: an unchanged
-    // manifest entry means unchanged bytes, so the previous mapping (still
-    // pinned by its shared_ptr even if the file was replaced since) serves
-    // the new model too.
-    std::unordered_map<std::string, size_t> prev_by_file;
-    const bool have_prev = previous != nullptr && previous->mapped();
-    if (have_prev) {
-      for (size_t i = 0; i < previous->shard_infos_.size(); ++i) {
-        prev_by_file[previous->shard_infos_[i].file] = i;
-      }
-    }
-    auto reusable = [&](const ManifestShard& s) -> int64_t {
-      if (!have_prev) return -1;
-      const auto it = prev_by_file.find(s.file);
-      if (it == prev_by_file.end()) return -1;
-      const ShardSetInfo& p = previous->shard_infos_[it->second];
-      if (p.crc != s.crc || p.row_begin != s.row_begin ||
-          p.row_count != s.row_count || p.generation != s.generation) {
-        return -1;
-      }
-      return static_cast<int64_t>(it->second);
-    };
-
-    model->mappings_.resize(static_cast<size_t>(num_shards) + 1);
-    model->ent_segments_.resize(static_cast<size_t>(num_shards));
-    model->raw_segments_.resize(static_cast<size_t>(num_shards));
-    if (m.demand) {
-      model->demand_segments_.resize(static_cast<size_t>(num_shards));
-    }
-    model->shard_infos_.resize(static_cast<size_t>(num_shards));
-    ShardSetStats& stats = model->shard_stats_;
-    stats.shard_count = num_shards;
-    stats.generation = m.generation;
-
-    for (int i = 0; i < num_shards; ++i) {
-      const ManifestShard& s = m.shards[static_cast<size_t>(i)];
-      std::shared_ptr<const util::MmapFile> mapping;
-      const int64_t prev_idx = reusable(s);
-      bool remapped = false;
-      if (prev_idx >= 0) {
-        // Reused mappings were validated when first mapped and are
-        // immutable — no re-validation, which is what keeps a delta
-        // reload's cost proportional to the *changed* shards only.
-        mapping = previous->mappings_[static_cast<size_t>(prev_idx)];
-        ++stats.shards_reused;
-      } else {
-        CADRL_RETURN_IF_ERROR(util::MmapFile::Open(dir + "/" + s.file,
-                                                   &mapping));
-        remapped = true;
-        ++stats.shards_remapped;
-      }
-      std::string_view blob;
-      uint32_t footer_crc = 0;
-      CADRL_RETURN_IF_ERROR(
-          VerifyFooterOnView(std::string_view(mapping->data(),
-                                              mapping->size()),
-                             remapped && options.verify_payload, &blob,
-                             &footer_crc)
-              .Annotate(s.file));
-      if (footer_crc != s.crc) {
-        return Status::Corruption(s.file +
-                                  ": shard CRC disagrees with manifest "
-                                  "(stale or torn shard file)");
-      }
+    const size_t num_shards = shards.size();
+    model->backings_.resize(num_shards + 1);
+    model->ent_segments_.resize(num_shards);
+    model->raw_segments_.resize(num_shards);
+    if (m.demand) model->demand_segments_.resize(num_shards);
+    model->shard_infos_.resize(num_shards);
+    for (size_t i = 0; i < num_shards; ++i) {
+      const ManifestShard& s = m.shards[i];
+      const BlobRef& blob = shards[i];
       std::vector<ShardSection> sections;
-      if (remapped) {
-        CADRL_RETURN_IF_ERROR(ValidateShardBlob(blob, s.file, prec,
-                                                /*kind=*/0, dim, s.row_begin,
-                                                s.row_count, &sections));
-      } else {
-        // Structure was validated at first map; re-read the section table
-        // only.
-        ShardHeader header;
-        std::memcpy(&header, blob.data(), sizeof(header));
-        sections.resize(header.num_sections);
-        for (size_t k = 0; k < sections.size(); ++k) {
-          std::memcpy(&sections[k], blob.data() + sizeof(ShardHeader) +
-                                        k * sizeof(ShardSection),
-                      sizeof(ShardSection));
-        }
-      }
+      CADRL_RETURN_IF_ERROR(ValidateShardBlob(blob.payload, s.file, prec,
+                                              /*kind=*/0, dim, s.row_begin,
+                                              s.row_count, &sections));
       const uint64_t rows = static_cast<uint64_t>(s.row_count);
-      CADRL_RETURN_IF_ERROR(WireTable(
-          blob, sections, s.file, kTabEntities, prec, rows, dim,
-          &model->ent_segments_[static_cast<size_t>(i)]));
-      CADRL_RETURN_IF_ERROR(WireTable(
-          blob, sections, s.file, kTabRaw, prec, rows, dim,
-          &model->raw_segments_[static_cast<size_t>(i)]));
+      CADRL_RETURN_IF_ERROR(WireTable(blob.payload, sections, s.file,
+                                      kTabEntities, prec, rows, dim,
+                                      &model->ent_segments_[i]));
+      CADRL_RETURN_IF_ERROR(WireTable(blob.payload, sections, s.file, kTabRaw,
+                                      prec, rows, dim,
+                                      &model->raw_segments_[i]));
       if (m.demand) {
-        CADRL_RETURN_IF_ERROR(WireTable(
-            blob, sections, s.file, kTabDemand, prec, rows, dim,
-            &model->demand_segments_[static_cast<size_t>(i)]));
+        CADRL_RETURN_IF_ERROR(WireTable(blob.payload, sections, s.file,
+                                        kTabDemand, prec, rows, dim,
+                                        &model->demand_segments_[i]));
       }
-      model->mappings_[static_cast<size_t>(i)] = mapping;
-      ShardSetInfo& info = model->shard_infos_[static_cast<size_t>(i)];
+      model->backings_[i] = blob.backing;
+      ShardSetInfo& info = model->shard_infos_[i];
       info.file = s.file;
       info.row_begin = s.row_begin;
       info.row_count = s.row_count;
       info.crc = s.crc;
       info.generation = s.generation;
-      info.remapped = remapped;
     }
 
     // The meta shard: relations, categories, and the policy blob.
-    std::shared_ptr<const util::MmapFile> meta_mapping;
-    bool meta_remapped = true;
-    if (have_prev && previous->meta_crc_ == m.meta.crc &&
-        previous->meta_generation_ == m.meta.generation) {
-      meta_mapping = previous->mappings_.back();
-      meta_remapped = false;
-    } else {
-      CADRL_RETURN_IF_ERROR(
-          util::MmapFile::Open(dir + "/" + m.meta.file, &meta_mapping));
-    }
-    std::string_view meta_blob;
-    uint32_t meta_crc = 0;
-    CADRL_RETURN_IF_ERROR(
-        VerifyFooterOnView(
-            std::string_view(meta_mapping->data(), meta_mapping->size()),
-            meta_remapped && options.verify_payload, &meta_blob, &meta_crc)
-            .Annotate(m.meta.file));
-    if (meta_crc != m.meta.crc) {
-      return Status::Corruption(m.meta.file +
-                                ": meta shard CRC disagrees with manifest");
-    }
     std::vector<ShardSection> meta_sections;
-    CADRL_RETURN_IF_ERROR(ValidateShardBlob(meta_blob, m.meta.file, prec,
+    CADRL_RETURN_IF_ERROR(ValidateShardBlob(meta.payload, m.meta.file, prec,
                                             /*kind=*/1, dim, 0, 0,
                                             &meta_sections));
-    model->mappings_.back() = meta_mapping;
+    model->backings_.back() = meta.backing;
     model->meta_crc_ = m.meta.crc;
     model->meta_generation_ = m.meta.generation;
 
@@ -902,33 +845,37 @@ class ShardLoader {
     sv.precision = prec;
     sv.num_entities = m.num_entities;
     sv.num_categories = m.num_categories;
-    CADRL_RETURN_IF_ERROR(WireTable(meta_blob, meta_sections, m.meta.file,
+    CADRL_RETURN_IF_ERROR(WireTable(meta.payload, meta_sections, m.meta.file,
                                     kTabRelations, prec, rel_rows, dim,
                                     &sv.relations));
     CADRL_RETURN_IF_ERROR(WireTable(
-        meta_blob, meta_sections, m.meta.file, kTabCategories, prec,
+        meta.payload, meta_sections, m.meta.file, kTabCategories, prec,
         static_cast<uint64_t>(m.num_categories), dim, &sv.categories));
-    sv.entities.segments = model->ent_segments_.data();
-    sv.entities.num_segments = num_shards;
-    sv.entities.segment_rows = m.shard_rows;
-    sv.raw_entities.segments = model->raw_segments_.data();
-    sv.raw_entities.num_segments = num_shards;
-    sv.raw_entities.segment_rows = m.shard_rows;
-    if (m.demand) {
-      sv.demand_entities.segments = model->demand_segments_.data();
-      sv.demand_entities.num_segments = num_shards;
-      sv.demand_entities.segment_rows = m.shard_rows;
-    }
+    // One shard binds flat, so ResolveRow stays the identity; more bind as
+    // segments of shard_rows rows each.
+    auto bind_entities = [&](const std::vector<RowTable>& segments,
+                             RowTable* table) {
+      if (segments.size() == 1) {
+        *table = segments.front();
+        return;
+      }
+      table->segments = segments.data();
+      table->num_segments = static_cast<int>(segments.size());
+      table->segment_rows = m.shard_rows;
+    };
+    bind_entities(model->ent_segments_, &sv.entities);
+    bind_entities(model->raw_segments_, &sv.raw_entities);
+    if (m.demand) bind_entities(model->demand_segments_, &sv.demand_entities);
 
-    // Wire the policy view by walking the blob in the writer's flatten
-    // order with the dims the manifest recorded.
+    // Wire the policy view by walking the blob in the encoder's order
+    // (PolicyBlocks) with the dims the manifest recorded.
     const ShardSection* psec =
         FindSection(meta_sections, kTabPolicy, kPartParams);
     if (psec == nullptr) {
       return Status::Corruption(m.meta.file + ": missing policy section");
     }
     const float* cursor =
-        reinterpret_cast<const float*>(meta_blob.data() + psec->offset);
+        reinterpret_cast<const float*>(meta.payload.data() + psec->offset);
     const float* pend = cursor + psec->size / sizeof(float);
     PolicyParamsView& p = model->policy_;
     p.dim = m.policy_dim;
@@ -936,7 +883,7 @@ class ShardLoader {
     p.share_history = m.share_history;
     p.condition_on_category = m.condition_on_category;
     auto take = [&cursor, &pend](size_t n) -> const float* {
-      if (cursor + n > pend) return nullptr;
+      if (n > static_cast<size_t>(pend - cursor)) return nullptr;
       const float* at = cursor;
       cursor += n;
       return at;
@@ -972,42 +919,151 @@ class ShardLoader {
                                 "manifest dims");
     }
 
-    // Logical section footprint, mirroring Build's accounting; the heap
-    // arenas stay empty (that is the zero-parse claim — arena_size()==0).
+    // Logical section footprint: the bytes of the row, scale and policy
+    // sections, wherever the blobs live.
     size_t table_rows = static_cast<size_t>(m.num_entities) * 2 + rel_rows +
                         static_cast<size_t>(m.num_categories);
     if (m.demand) table_rows += static_cast<size_t>(m.num_entities);
-    const size_t table_elems = table_rows * static_cast<size_t>(m.dim);
     ArenaBytes& ab = model->arena_bytes_;
-    switch (prec) {
-      case Precision::kF32:
-        ab.store_rows = table_elems * sizeof(float);
-        break;
-      case Precision::kF16:
-        ab.store_rows = table_elems * sizeof(uint16_t);
-        break;
-      case Precision::kInt8:
-        ab.store_rows = table_elems * sizeof(int8_t);
-        ab.store_scales = table_rows * 2 * sizeof(uint16_t);
-        break;
+    ab.store_rows = table_rows * static_cast<size_t>(m.dim) * RowBytes(prec);
+    if (prec == Precision::kInt8) {
+      ab.store_scales = table_rows * 2 * sizeof(uint16_t);
     }
     ab.policy_params = psec->size;
     model->score_scale_ = m.score_scale;
+    return Status::OK();
+  }
 
-    for (const auto& mapping : model->mappings_) {
-      stats.mapped_bytes += mapping->size();
-      if (!mapping->mapped()) stats.fallback_buffered = true;
+  static Status Load(const std::string& dir, const ShardLoadOptions& options,
+                     std::shared_ptr<const CompiledModel> previous,
+                     std::shared_ptr<const CompiledModel>* out) {
+    CADRL_CHECK(out != nullptr);
+    std::string payload;
+    CADRL_RETURN_IF_ERROR(
+        ReadFileVerified(dir + "/" + kShardManifestName, &payload));
+    Manifest m;
+    CADRL_RETURN_IF_ERROR(
+        ParseManifest(payload, &m).Annotate(dir + "/" + kShardManifestName));
+
+    // Index the previous model's shard set for delta reuse: an unchanged
+    // manifest entry means unchanged bytes, so the previous mapping (still
+    // pinned by its shared_ptr even if the file was replaced since) serves
+    // the new model too.
+    std::unordered_map<std::string, size_t> prev_by_file;
+    const bool have_prev = previous != nullptr && previous->mapped_;
+    if (have_prev) {
+      for (size_t i = 0; i < previous->shard_infos_.size(); ++i) {
+        prev_by_file[previous->shard_infos_[i].file] = i;
+      }
+    }
+    auto reusable = [&](const ManifestShard& s)
+        -> std::shared_ptr<const util::MmapFile> {
+      if (!have_prev) return nullptr;
+      const auto it = prev_by_file.find(s.file);
+      if (it == prev_by_file.end()) return nullptr;
+      const ShardSetInfo& p = previous->shard_infos_[it->second];
+      if (p.crc != s.crc || p.row_begin != s.row_begin ||
+          p.row_count != s.row_count || p.generation != s.generation) {
+        return nullptr;
+      }
+      return previous->backings_[it->second];
+    };
+    // Maps (or inherits) one shard file and checks its footer against the
+    // manifest CRC.
+    auto resolve = [&](const std::string& file, uint32_t crc,
+                       std::shared_ptr<const util::MmapFile> inherited,
+                       BlobRef* blob) -> Status {
+      const bool remapped = inherited == nullptr;
+      if (remapped) {
+        CADRL_RETURN_IF_ERROR(
+            util::MmapFile::Open(dir + "/" + file, &inherited));
+      }
+      uint32_t footer_crc = 0;
+      CADRL_RETURN_IF_ERROR(
+          VerifyFooterOnView(Bytes(*inherited),
+                             remapped && options.verify_payload,
+                             &blob->payload, &footer_crc)
+              .Annotate(file));
+      if (footer_crc != crc) {
+        return Status::Corruption(file +
+                                  ": shard CRC disagrees with manifest "
+                                  "(stale or torn shard file)");
+      }
+      blob->backing = std::move(inherited);
+      return Status::OK();
+    };
+
+    auto model = std::shared_ptr<CompiledModel>(new CompiledModel());
+    const size_t num_shards = m.shards.size();
+    std::vector<BlobRef> blobs(num_shards);
+    std::vector<bool> remapped(num_shards);
+    for (size_t i = 0; i < num_shards; ++i) {
+      const ManifestShard& s = m.shards[i];
+      std::shared_ptr<const util::MmapFile> inherited = reusable(s);
+      remapped[i] = inherited == nullptr;
+      CADRL_RETURN_IF_ERROR(
+          resolve(s.file, s.crc, std::move(inherited), &blobs[i]));
+    }
+    BlobRef meta;
+    const bool meta_reused = have_prev &&
+                             previous->meta_crc_ == m.meta.crc &&
+                             previous->meta_generation_ == m.meta.generation;
+    CADRL_RETURN_IF_ERROR(resolve(
+        m.meta.file, m.meta.crc,
+        meta_reused ? previous->backings_.back() : nullptr, &meta));
+    CADRL_RETURN_IF_ERROR(Bind(m, blobs, meta, model.get()));
+
+    model->mapped_ = true;
+    ShardSetStats& stats = model->shard_stats_;
+    stats.shard_count = static_cast<int>(num_shards);
+    stats.generation = m.generation;
+    for (size_t i = 0; i < num_shards; ++i) {
+      model->shard_infos_[i].remapped = remapped[i];
+      if (remapped[i]) {
+        ++stats.shards_remapped;
+      } else {
+        ++stats.shards_reused;
+      }
+    }
+    for (const auto& backing : model->backings_) {
+      stats.mapped_bytes += backing->size();
+      if (!backing->mapped()) stats.fallback_buffered = true;
     }
     *out = std::move(model);
     return Status::OK();
   }
 };
 
+std::shared_ptr<const CompiledModel> CompiledModel::Build(
+    const core::EmbeddingStore& store,
+    const core::SharedPolicyNetworks& policy, float score_scale,
+    const CompiledModelOptions& options) {
+  const ScoringView view = store.View();
+  CADRL_CHECK(view.precision == Precision::kF32)
+      << "Build encodes from the live (f32) store";
+  const PolicyParamsView pv = policy.ParamsView();
+  const Precision prec = options.precision;
+  // The blobs CompileToShardDir writes with shard_rows >= num_entities.
+  const int64_t rows = view.num_entities;
+  Manifest m = DescribeModel(view, pv, score_scale, prec,
+                             std::max<int64_t>(1, rows));
+  const BlobRef entities = OwnedBlob(
+      BuildEntityShardBlob(view, prec, 0, static_cast<uint64_t>(rows)));
+  const BlobRef meta = OwnedBlob(BuildMetaShardBlob(view, pv, prec));
+  m.shards.push_back({"", 0, rows, Crc32(entities.payload), 0});
+  m.meta.crc = Crc32(meta.payload);
+  auto model = std::shared_ptr<CompiledModel>(new CompiledModel());
+  const Status status = ShardBinder::Bind(m, {entities}, meta, model.get());
+  CADRL_CHECK(status.ok()) << "binding freshly encoded blobs: "
+                           << status.ToString();
+  return model;
+}
+
 Status LoadFromShardDir(const std::string& dir,
                         const ShardLoadOptions& options,
                         std::shared_ptr<const CompiledModel> previous,
                         std::shared_ptr<const CompiledModel>* out) {
-  return ShardLoader::Load(dir, options, std::move(previous), out);
+  return ShardBinder::Load(dir, options, std::move(previous), out);
 }
 
 }  // namespace infer

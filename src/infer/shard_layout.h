@@ -15,7 +15,9 @@
 // renamed manifest (DESIGN.md §16). Loading is open + mmap + validate — no
 // parse, no per-row copy — so reload latency is independent of arena size,
 // and a fine-tuned checkpoint that changed only some entity ranges
-// republishes (and remaps) only those shards.
+// republishes (and remaps) only those shards. It is also the in-memory
+// format: CompiledModel::Build encodes the same blobs (one entity shard
+// covering every row, plus the meta shard) into heap buffers.
 //
 // Directory layout:
 //   MANIFEST.cadrl          text manifest (CRC-footered, written last)
@@ -102,12 +104,12 @@ struct ShardLoadOptions {
 
 // Compiles one f32 view of the model (the live store's tables + policy
 // parameters) into `dir`, encoding rows to `options.precision` with the
-// exact kernels CompiledModel::Build uses — so the shard bytes are
-// bit-identical to the heap arena's and byte-identity of outputs is
-// structural. Creates `dir` if missing. Delta-aware: shards whose encoded
-// payload CRC-matches the existing manifest entry are not rewritten and
-// keep their recorded generation. The manifest is written (atomically)
-// last, only if anything changed.
+// shard encoder CompiledModel::Build also uses — with shard_rows >=
+// num_entities the files hold the same bytes as a Build model's blobs, so
+// byte-identity of outputs is structural. Creates `dir` if missing.
+// Delta-aware: shards whose encoded payload CRC-matches the existing
+// manifest entry are not rewritten and keep their recorded generation. The
+// manifest is written (atomically) last, only if anything changed.
 Status CompileToShardDir(const ScoringView& view,
                          const PolicyParamsView& policy, float score_scale,
                          const CompiledModelOptions& options,
@@ -120,18 +122,13 @@ Status CompileToShardDir(const ScoringView& view,
 // no parse step and no per-row copies. When `previous` is a mapped model
 // from the same directory lineage, shards whose manifest entry (file, CRC,
 // row range, generation) is unchanged reuse the previous model's mapping —
-// a delta reload maps only the republished shards. The returned model
-// passes the same golden byte-identity tests as a heap-arena Build.
+// a delta reload maps only the republished shards. The blobs bind through
+// the same binder as a Build model's, so the two answer alike byte for
+// byte.
 Status LoadFromShardDir(const std::string& dir, const ShardLoadOptions& options,
                         std::shared_ptr<const CompiledModel> previous,
                         std::shared_ptr<const CompiledModel>* out);
 
-// CADRL_SNAPSHOT_SHARDED=1: route every in-process snapshot publish through
-// compile-to-dir + map (the cadrl_tests_mmap_snapshot ctest variant runs
-// the whole suite this way).
-bool ShardedSnapshotsFromEnv();
-// CADRL_SNAPSHOT_SHARD_ROWS override for the env-toggled publish path.
-int64_t ShardRowsFromEnv(int64_t fallback);
 // CADRL_SHARD_VERIFY=1: default ShardLoadOptions::verify_payload to true.
 bool ShardVerifyFromEnv();
 

@@ -97,6 +97,14 @@ Status MmapFile::Open(const std::string& path,
   return Status::OK();
 }
 
+std::unique_ptr<MmapFile> MmapFile::Allocate(size_t size) {
+  std::unique_ptr<MmapFile> buffer(new MmapFile());
+  buffer->fallback_.reset(new char[size]());
+  buffer->data_ = buffer->fallback_.get();
+  buffer->size_ = size;
+  return buffer;
+}
+
 MmapFile::~MmapFile() {
   if (mapped_ && data_ != nullptr) {
     ::munmap(const_cast<char*>(data_), size_);

@@ -18,6 +18,10 @@ namespace util {
 // from operator new[] (aligned to the default new alignment), so callers
 // may reinterpret section offsets that the writer aligned.
 //
+// Allocate() makes the same owned-buffer object without a file: the
+// in-memory backing that CompiledModel::Build encodes its shard blobs into,
+// so a heap snapshot and a mapped one differ only in where the bytes live.
+//
 // Instances are shared by shared_ptr: the sharded snapshot loader hands the
 // same mapping to successive CompiledModel generations (delta reload), and
 // POSIX keeps the pages valid even after the file is renamed over or
@@ -35,12 +39,18 @@ class MmapFile {
   static Status Open(const std::string& path,
                      std::shared_ptr<const MmapFile>* out);
 
+  // A zero-filled owned buffer of `size` bytes (mapped() == false, empty
+  // path), written through mutable_data() before it is shared.
+  static std::unique_ptr<MmapFile> Allocate(size_t size);
+
   ~MmapFile();
 
   MmapFile(const MmapFile&) = delete;
   MmapFile& operator=(const MmapFile&) = delete;
 
   const char* data() const { return data_; }
+  // Writable bytes of an owned buffer; null for a real mapping.
+  char* mutable_data() { return fallback_.get(); }
   size_t size() const { return size_; }
   // True when the bytes are a real mapping; false on the buffered fallback.
   bool mapped() const { return mapped_; }

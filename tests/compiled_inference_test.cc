@@ -231,9 +231,6 @@ TEST(CompiledSnapshotTest, FitPublishesAndReloadSwapsAtomically) {
   ASSERT_TRUE(a.Fit(dataset).ok());
   const auto snap_a = a.CurrentSnapshot();
   ASSERT_NE(snap_a, nullptr);
-  // arena_bytes() covers both backings: heap arenas and (under
-  // CADRL_SNAPSHOT_SHARDED=1) mapped shard sets, whose heap arena_size()
-  // is legitimately zero.
   EXPECT_GT(snap_a->arena_bytes().total(), 0u);
 
   CadrlOptions other = GoldenOptions();

@@ -3,14 +3,16 @@
 //
 //   1. byte identity — a shard-dir-backed (mmap'ed) snapshot answers
 //      Recommend / FindPaths / eval metrics byte-for-byte like the heap
-//      arena it was compiled from, at every precision (f32/f16/int8),
-//      across eval thread counts, and under the buffered-read fallback.
+//      snapshot (CompiledModel::Build) it was compiled from, at every
+//      precision (f32/f16/int8), across eval thread counts, and under the
+//      buffered-read fallback. The two share one encoder: a heap snapshot's
+//      blobs carry the CRCs a one-shard shard dir records in its manifest.
 //      (Both kernel backends are covered because this whole binary re-runs
 //      under CADRL_KERNELS=scalar as the cadrl_tests_scalar_kernels ctest
 //      entry.)
 //   2. zero-parse reload — LoadFromShardDir performs no full-model parse:
-//      the loaded model's heap arenas are empty, no ag::Tensor is ever
-//      allocated, and the bytes live in the file mappings.
+//      no ag::Tensor is ever allocated, and every byte lives in the file
+//      mappings, which outlive the directory they were mapped from.
 //   3. delta — recompiling after a localized change rewrites exactly the
 //      changed shard, a delta reload remaps only that shard and inherits
 //      every other mapping from the previous model, and an unchanged
@@ -26,6 +28,7 @@
 #include <fstream>
 #include <string>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -140,11 +143,28 @@ TEST_F(ShardSnapshotTest, MappedSnapshotIsByteIdenticalAtEveryPrecision) {
     SCOPED_TRACE(infer::PrecisionName(p));
     model_->set_snapshot_precision(p);
     model_->RepublishSnapshot();
-    // (Under CADRL_SNAPSHOT_SHARDED=1 this baseline is itself mapped —
-    // the comparison then locks mapped-vs-mapped self-consistency, while
-    // the default run locks heap-vs-mapped identity.)
+    const auto heap = model_->CurrentSnapshot();
+    ASSERT_FALSE(heap->mapped());
 
-    // Heap-arena answers first: per-user recs + paths and whole-dataset
+    // One encoder: with one shard covering every row, CompileToShardDir
+    // writes exactly the heap snapshot's blobs.
+    {
+      const std::string one =
+          FreshDir(std::string("one_shard_") + infer::PrecisionName(p));
+      ASSERT_TRUE(model_->CompileSnapshotToDir(
+                      one, heap->scoring().num_entities, nullptr)
+                      .ok());
+      std::shared_ptr<const infer::CompiledModel> loaded;
+      ASSERT_TRUE(infer::LoadFromShardDir(one, {}, nullptr, &loaded).ok());
+      ASSERT_EQ(heap->shard_infos().size(), 1u);
+      ASSERT_EQ(loaded->shard_infos().size(), 1u);
+      EXPECT_EQ(heap->shard_infos()[0].crc, loaded->shard_infos()[0].crc)
+          << "entity blob";
+      EXPECT_EQ(heap->meta_crc(), loaded->meta_crc()) << "meta blob";
+      EXPECT_EQ(heap->arena_bytes().total(), loaded->arena_bytes().total());
+    }
+
+    // Heap snapshot answers first: per-user recs + paths and whole-dataset
     // eval metrics at two thread counts.
     std::vector<std::vector<eval::Recommendation>> heap_recs;
     std::vector<std::vector<eval::RecommendationPath>> heap_paths;
@@ -241,8 +261,8 @@ TEST_F(ShardSnapshotTest, ReloadIsZeroParse) {
 
   const auto snap = model_->CurrentSnapshot();
   ASSERT_TRUE(snap->mapped());
-  // No heap arena: every parameter byte lives in the mappings.
-  EXPECT_EQ(snap->arena_size(), 0u);
+  // No heap backing: every parameter byte lives in the mappings.
+  EXPECT_FALSE(snap->shard_stats().fallback_buffered);
   EXPECT_GT(snap->arena_bytes().total(), 0u) << "logical accounting intact";
   EXPECT_GT(snap->shard_stats().mapped_bytes, 0u);
   EXPECT_GE(snap->shard_stats().shard_count, 2);
@@ -255,6 +275,41 @@ TEST_F(ShardSnapshotTest, ReloadIsZeroParse) {
   EXPECT_GT(status.mapped_bytes, 0u);
   EXPECT_EQ(status.shard_generations.size(),
             static_cast<size_t>(status.shard_count));
+}
+
+// POSIX keeps a mapping's pages valid after its file is unlinked, so an
+// acquired mapped snapshot answers unchanged after its whole directory is
+// removed (the asan/ubsan job runs this against use-after-unmap).
+TEST_F(ShardSnapshotTest, MappedSnapshotOutlivesItsDirectory) {
+  const std::string dir = FreshDir("outlives");
+  ASSERT_TRUE(model_->CompileSnapshotToDir(dir, kShardRows, nullptr).ok());
+  ASSERT_TRUE(model_->ReloadFromShardDir(dir).ok());
+  const auto snap = model_->CurrentSnapshot();
+  ASSERT_TRUE(snap->mapped());
+  ASSERT_FALSE(snap->shard_stats().fallback_buffered)
+      << "a buffered read would not exercise the mappings";
+
+  std::vector<std::vector<eval::Recommendation>> recs;
+  std::vector<std::vector<eval::RecommendationPath>> paths;
+  for (int u = 0; u < 3; ++u) {
+    const kg::EntityId user = dataset_->users[static_cast<size_t>(u)];
+    recs.push_back(model_->Recommend(user, 10));
+    paths.push_back(model_->FindPaths(user, 5));
+  }
+
+  std::filesystem::remove_all(dir);
+  ASSERT_FALSE(std::filesystem::exists(dir));
+
+  EXPECT_EQ(model_->CurrentSnapshot(), snap);
+  for (int u = 0; u < 3; ++u) {
+    const kg::EntityId user = dataset_->users[static_cast<size_t>(u)];
+    ExpectSameRecs(recs[static_cast<size_t>(u)], model_->Recommend(user, 10));
+    const auto after = model_->FindPaths(user, 5);
+    ASSERT_EQ(after.size(), paths[static_cast<size_t>(u)].size());
+    for (size_t i = 0; i < after.size(); ++i) {
+      EXPECT_EQ(after[i].steps, paths[static_cast<size_t>(u)][i].steps);
+    }
+  }
 }
 
 // ---------- 3. delta ----------
@@ -391,6 +446,33 @@ TEST_F(ShardSnapshotTest, CorruptionIsRejectedAndOldSnapshotKeepsServing) {
     EXPECT_FALSE(infer::LoadFromShardDir(dmg, {}, nullptr, &out).ok());
   }
 
+  // Well-formed manifests (valid footer) whose fields the loader must not
+  // trust: a shard count the entity range does not imply, and negative
+  // dims that would become huge sizes.
+  const std::pair<std::string, std::string> crafted[] = {
+      {"shards ", "shards 1000000000000"},
+      {"num_categories ", "num_categories -1"},
+      {"policy ", "policy 24 -24 1 1"},
+      {"lstm lstm_c ", "lstm lstm_c -48"},
+      {"linear head1_e ", "linear head1_e -1 24 1"},
+  };
+  for (const auto& [key, line] : crafted) {
+    SCOPED_TRACE(line);
+    const std::string dmg = FreshDir("corrupt_crafted");
+    ASSERT_TRUE(model_->CompileSnapshotToDir(dmg, kShardRows, nullptr).ok());
+    const std::string path = dmg + "/" + infer::kShardManifestName;
+    std::string manifest;
+    ASSERT_TRUE(ReadFileVerified(path, &manifest).ok());
+    const size_t at = manifest.find("\n" + key);
+    ASSERT_NE(at, std::string::npos);
+    const size_t end = manifest.find('\n', at + 1);
+    manifest.replace(at + 1, end - at - 1, line);
+    ASSERT_TRUE(WriteFileAtomic(path, manifest).ok());
+    const Status status = model_->ReloadFromShardDir(dmg);
+    EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+    EXPECT_EQ(model_->CurrentSnapshot(), serving);
+  }
+
   // The model-level reload of a bad dir errors and leaves the serving
   // snapshot untouched. The manifest is corrupted (it is re-read and
   // CRC-verified on every poll) rather than a shard file: a shard whose
@@ -399,26 +481,6 @@ TEST_F(ShardSnapshotTest, CorruptionIsRejectedAndOldSnapshotKeepsServing) {
   FlipByteAt(dir + "/" + infer::kShardManifestName, 3);
   EXPECT_FALSE(model_->ReloadFromShardDir(dir).ok());
   EXPECT_EQ(model_->CurrentSnapshot(), serving);
-}
-
-// ---------- env-toggled publish path ----------
-
-// CADRL_SNAPSHOT_SHARDED=1 (the cadrl_tests_mmap_snapshot ctest variant)
-// routes every publish through compile->map; this test asserts the toggle
-// actually engaged there, and that the plain build stays heap-backed when
-// the variable is unset.
-TEST_F(ShardSnapshotTest, EnvTogglePublishMatchesEnvironment) {
-  model_->RepublishSnapshot();
-  const auto snap = model_->CurrentSnapshot();
-  ASSERT_NE(snap, nullptr);
-  if (infer::ShardedSnapshotsFromEnv()) {
-    EXPECT_TRUE(snap->mapped());
-    EXPECT_EQ(snap->arena_size(), 0u);
-    EXPECT_GT(snap->shard_stats().mapped_bytes, 0u);
-  } else {
-    EXPECT_FALSE(snap->mapped());
-    EXPECT_GT(snap->arena_size(), 0u);
-  }
 }
 
 }  // namespace

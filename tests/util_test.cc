@@ -253,6 +253,35 @@ TEST(Crc32Test, MatchesKnownVectors) {
   EXPECT_EQ(partial, whole);
 }
 
+TEST(Crc32Test, EightByteFoldMatchesTheByteLoop) {
+  // The bitwise definition, one byte at a time: the reference the
+  // table-driven eight-bytes-per-step loop must reproduce at every length
+  // and every start alignment.
+  auto reference = [](const unsigned char* p, size_t n) {
+    uint32_t c = 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::vector<unsigned char> bytes(300);
+  uint32_t state = 12345;
+  for (unsigned char& b : bytes) {
+    state = state * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(state >> 24);
+  }
+  for (size_t begin = 0; begin < 8; ++begin) {
+    for (size_t n = 0; begin + n <= bytes.size(); n += 37) {
+      EXPECT_EQ(Crc32(bytes.data() + begin, n),
+                reference(bytes.data() + begin, n))
+          << "begin " << begin << " n " << n;
+    }
+  }
+}
+
 TEST(FailpointTest, ArmSkipCountSemantics) {
   Failpoints& fp = Failpoints::Instance();
   fp.DisarmAll();
